@@ -13,11 +13,11 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import ratlp
 from .errors import BudgetExceededError, IntegralityError, ReductionError
-from .polygeo import MonomialSet, splitting_polytope
+from .polygeo import MonomialSet, lattice_points, splitting_polytope
 
 DEFAULT_TERM_BUDGET = 5_000_000
 
@@ -201,26 +201,14 @@ def _check_nu_input(f: FpPoly) -> None:
 def nu(f: FpPoly, e: int, budget: TermBudget | None = None) -> int:
     """Largest a with f^a outside the e-th Frobenius power of (x_1,...,x_m).
 
-    Maintains f^a reduced after each multiplication; since the Frobenius
-    power is an ideal, reduction commutes with further multiplication, and
-    once the reduced power hits zero it stays zero.
+    The last value of the level sweep in _nu_levels.
     """
     _check_nu_input(f)
     if e < 1:
         raise ValueError(f"level must be >= 1, got {e}")
     if budget is None:
         budget = TermBudget()
-    q = f.p**e
-    r = frobenius_reduce(f, e)
-    if r.is_zero():
-        return 0
-    value = 1
-    for a in range(2, q):
-        r = frobenius_reduce(r.multiply(f, budget), e)
-        if r.is_zero():
-            break
-        value = a
-    return value
+    return _top_level(f, e, budget)
 
 
 @dataclass(frozen=True)
@@ -236,36 +224,48 @@ class NuTable:
         )
 
 
-def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget):
-    """Yield (e, nu(e)) for e = 1..e_max, sharing work across levels.
+def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = None):
+    """Yield nu(e) for e = 1..e_max, sharing work across levels.
 
-    Between levels the running power jumps by a Frobenius twist: if r is
-    f^a reduced at level e, then r^p is f^(p*a) reduced at level e+1 (p-th
-    powers distribute over sums in characteristic p and send the level-e
-    Frobenius ideal into the level-(e+1) one).  Since p*nu(e) <= nu(e+1),
-    the jump never skips the answer; it only skips exponents already known
-    to stay outside the ideal.
+    This is the one loop that raises f to a power.  Within a level it keeps
+    f^a reduced after each multiplication; since the Frobenius power is an
+    ideal, reduction commutes with further multiplication, and once the
+    reduced power hits zero it stays zero.  Between levels the running power
+    jumps by a Frobenius twist: if r is f^a reduced at level e, then r^p is
+    f^(p*a) reduced at level e+1 (p-th powers distribute over sums in
+    characteristic p and send the level-e Frobenius ideal into the
+    level-(e+1) one).  Since p*nu(e) <= nu(e+1), the jump never skips the
+    answer; it only skips exponents already known to stay outside the ideal.
+
+    With stop, the last level quits once its exponent reaches stop, so its
+    value is no longer nu(e_max), but it reaches stop exactly when nu(e_max)
+    does.
     """
     p = f.p
-    power = FpPoly.one(p, f.num_vars)  # f^prev reduced at the previous level
-    prev = 0
+    best = 0  # while best > 0, r holds f^best reduced at the last level
     for e in range(1, e_max + 1):
-        q = p**e
-        # nonzero: power has exponents < p^(e-1), so the twist stays < p^e
-        r = frobenius_reduce(power.frobenius(), e)
-        a = p * prev
-        best = a
-        last_good = r
-        while a < q - 1:
-            r = frobenius_reduce(r.multiply(f, budget), e)
-            a += 1
-            if r.is_zero():
+        limit = p**e - 1
+        if stop is not None and e == e_max:
+            limit = min(limit, stop)
+        if best:
+            # nonzero: r has exponents < p^(e-1), so the twist stays < p^e
+            best, r = p * best, frobenius_reduce(r.frobenius(), e)
+        else:
+            r = frobenius_reduce(f, e)
+            best = 0 if r.is_zero() else 1
+        while 0 < best < limit:
+            nxt = frobenius_reduce(r.multiply(f, budget), e)
+            if nxt.is_zero():
                 break
-            best = a
-            last_good = r
-        yield e, best
-        power = last_good
-        prev = best
+            r, best = nxt, best + 1
+        yield best
+
+
+def _top_level(f: FpPoly, e: int, budget: TermBudget, stop: int | None = None) -> int:
+    """The last value _nu_levels yields."""
+    for value in _nu_levels(f, e, budget, stop):
+        pass
+    return value
 
 
 def nu_table(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> NuTable:
@@ -275,14 +275,15 @@ def nu_table(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> NuTable
         raise ValueError(f"e_max must be >= 1, got {e_max}")
     if budget is None:
         budget = TermBudget()
-    values = tuple(v for _, v in _nu_levels(f, e_max, budget))
+    values = tuple(_nu_levels(f, e_max, budget))
     return NuTable(p=f.p, e_max=e_max, values=values)
 
 
 def certify_lower(
     f: FpPoly, lam: Fraction, e: int, budget: TermBudget | None = None
 ) -> bool:
-    """Decide whether f^((p^e - 1) * lam) survives the level-e reduction.
+    """Decide whether f^((p^e - 1) * lam) survives the level-e reduction,
+    that is, whether (p^e - 1) * lam <= nu(e).
 
     For rational lam in [0, 1] with (p^e - 1) * lam integral, a surviving
     power proves the threshold of f is >= lam, and a vanishing one proves
@@ -304,12 +305,7 @@ def certify_lower(
         return True
     if budget is None:
         budget = TermBudget()
-    r = frobenius_reduce(f, e)
-    for _ in range(t - 1):
-        if r.is_zero():
-            return False
-        r = frobenius_reduce(r.multiply(f, budget), e)
-    return not r.is_zero()
+    return _top_level(f, e, budget, stop=t) >= t
 
 
 def fpt_is_one(f: FpPoly, budget: TermBudget | None = None) -> bool:
@@ -320,48 +316,20 @@ def fpt_is_one(f: FpPoly, budget: TermBudget | None = None) -> bool:
 def nu_ideal(ms: MonomialSet, p: int, e: int) -> int:
     """Largest r with the ms-generated ideal's r-th power outside level e.
 
-    Equals max |k| over lattice points k >= 0 with E k <= (p^e - 1) * 1.
-    Solved by depth-first search over the columns with residual capacities;
-    the LP relaxation value caps the search (stop as soon as its floor is
-    attained) and a per-node column bound prunes the rest.
+    Equals max |k| over lattice points k >= 0 with E k <= (p^e - 1) * 1:
+    the first total, counting down from the floor of the LP relaxation
+    value, that some lattice point attains.
     """
     if e < 1:
         raise ValueError(f"level must be >= 1, got {e}")
     cap = p**e - 1
-    n = ms.num_monomials
-    cols = ms.monomials
-    m = ms.num_vars
-    lp_out = ratlp.maximize(splitting_polytope(ms))
-    lp_floor = math.floor(lp_out.value * cap)
-
-    # Per-column ceiling given a residual capacity vector.
-    def col_bound(j: int, residual: Sequence[int]) -> int:
-        return min(residual[i] // cols[j][i] for i in range(m) if cols[j][i] > 0)
-
-    best = 0
-
-    def rec(j: int, residual: list[int], total: int) -> None:
-        nonlocal best
-        if best >= lp_floor:
-            return
-        if j == n:
-            if total > best:
-                best = total
-            return
-        remaining_bound = total + sum(
-            col_bound(jj, residual) for jj in range(j, n)
-        )
-        if remaining_bound <= best:
-            return
-        ub = col_bound(j, residual)
-        for k in range(ub, -1, -1):
-            new_res = [residual[i] - k * cols[j][i] for i in range(m)]
-            rec(j + 1, new_res, total + k)
-            if best >= lp_floor:
-                return
-
-    rec(0, [cap] * m, 0)
-    return best
+    bound = [cap] * ms.num_vars
+    lp_floor = math.floor(ratlp.maximize(splitting_polytope(ms)).value * cap)
+    return next(
+        total
+        for total in range(lp_floor, -1, -1)
+        if next(lattice_points(ms.monomials, bound, total), None) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -412,7 +380,7 @@ def bracket(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> Threshol
     values: list[int] = []
     exhausted = False
     try:
-        for _, v in _nu_levels(f, e_max, budget):
+        for v in _nu_levels(f, e_max, budget):
             values.append(v)
     except BudgetExceededError:
         exhausted = True

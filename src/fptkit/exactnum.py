@@ -85,10 +85,6 @@ def truncate(alpha: Fraction, p: int, e: int) -> Fraction:
     return Fraction(math.ceil(alpha * q) - 1, q)
 
 
-def truncate_vector(alphas: Sequence[Fraction], p: int, e: int) -> tuple[Fraction, ...]:
-    return tuple(truncate(a, p, e) for a in alphas)
-
-
 @dataclass(frozen=True)
 class DigitStream:
     """Eventually periodic digit sequence of a rational in [0, 1].

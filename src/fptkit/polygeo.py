@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import ratlp
 from .errors import InvalidMonomialSetError
@@ -96,6 +96,48 @@ def splitting_threshold(ms: MonomialSet) -> Fraction:
     out = ratlp.maximize(splitting_polytope(ms))
     assert out.status == OPTIMAL  # P is nonempty and sits inside [0,1]^n
     return out.value
+
+
+def lattice_points(
+    columns: Sequence[Sequence[int]],
+    bound: Sequence[int],
+    total: int,
+    exact: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Every k >= 0 with sum(k) = total and E k <= bound, or E k = bound when
+    exact, where E has the given columns and bound >= 0.
+
+    Points come in descending lexicographic order: depth-first over the
+    columns, each entry counting down from its per-column bound (the residual
+    bound and the remaining total cap it).  A branch is cut once the columns
+    still open cannot make up the remaining total even at those bounds.
+    """
+    n = len(columns)
+
+    def col_bound(col: Sequence[int], residual: Sequence[int], remaining: int) -> int:
+        ub = remaining
+        for a, r in zip(col, residual):
+            if a > 0 and r // a < ub:
+                ub = r // a
+        return ub
+
+    def rec(j: int, residual: list[int], remaining: int, prefix: tuple[int, ...]):
+        if j == n:
+            if remaining == 0 and not (exact and any(residual)):
+                yield prefix
+            return
+        col = columns[j]
+        later = sum(col_bound(c, residual, remaining) for c in columns[j + 1 :])
+        lowest = max(remaining - later, 0)
+        for k in range(col_bound(col, residual, remaining), lowest - 1, -1):
+            yield from rec(
+                j + 1,
+                [r - k * a for a, r in zip(col, residual)],
+                remaining - k,
+                prefix + (k,),
+            )
+
+    yield from rec(0, list(bound), total, ())
 
 
 def maximal_points(ms: MonomialSet) -> MaximalPointResult:

@@ -15,7 +15,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import charp, exactnum, polygeo
 from .charp import (
@@ -126,33 +126,6 @@ class CoefficientPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-def _lattice_solutions(
-    columns: Sequence[tuple[int, ...]],
-    target: Sequence[int],
-    total: int,
-) -> Iterable[tuple[int, ...]]:
-    """All k >= 0 with sum(k) = total and sum k_j * columns[j] = target."""
-    m = len(target)
-    n = len(columns)
-
-    def rec(j: int, residual: list[int], remaining: int, prefix: list[int]):
-        if j == n:
-            if remaining == 0 and all(x == 0 for x in residual):
-                yield tuple(prefix)
-            return
-        col = columns[j]
-        ub = remaining
-        for i in range(m):
-            if col[i] > 0:
-                ub = min(ub, residual[i] // col[i])
-        for k in range(ub + 1):
-            new_res = [residual[i] - k * col[i] for i in range(m)]
-            # a later column can never lower a residual, so overshoot prunes
-            yield from rec(j + 1, new_res, remaining - k, prefix + [k])
-
-    yield from rec(0, list(target), total, [])
-
-
 def theta_polynomial(ms: MonomialSet, p: int, e: int) -> CoefficientPolynomial:
     """Leading coefficient polynomial on the minimal-face generators.
 
@@ -178,7 +151,7 @@ def theta_polynomial(ms: MonomialSet, p: int, e: int) -> CoefficientPolynomial:
     columns = [ms.monomials[i] for i in members]
     target = [q - 1] * ms.num_vars
     terms: dict[tuple[int, ...], int] = {}
-    for kappa in _lattice_solutions(columns, target, total):
+    for kappa in polygeo.lattice_points(columns, target, total, exact=True):
         terms[kappa] = multinomial_exact(kappa)
     if not terms:
         raise NotApplicableError(
@@ -215,7 +188,7 @@ def theta_for_point(
         for i in range(ms.num_vars)
     ]
     terms: dict[tuple[int, ...], int] = {}
-    for k in _lattice_solutions(ms.monomials, target, total.numerator):
+    for k in polygeo.lattice_points(ms.monomials, target, total.numerator, exact=True):
         terms[k] = multinomial_exact(k)
     assert terms, "the scaled point itself always solves the system"
     return CoefficientPolynomial(
@@ -233,33 +206,9 @@ def _integral_maximal_point(
     cap = [p - 1] * ms.num_vars
     # maximality is automatic: sum k = (p-1)*alpha forces k/(p-1) onto the
     # maximal face once it lies in the polytope
-    for k in _lattice_points_below(ms.monomials, cap, total.numerator):
+    for k in polygeo.lattice_points(ms.monomials, cap, total.numerator):
         return tuple(Fraction(x, p - 1) for x in k)
     return None
-
-
-def _lattice_points_below(
-    columns: Sequence[tuple[int, ...]], cap: Sequence[int], total: int
-) -> Iterable[tuple[int, ...]]:
-    """k >= 0 with sum(k) = total and E k <= cap, lexicographically."""
-    m = len(cap)
-    n = len(columns)
-
-    def rec(j: int, residual: list[int], remaining: int, prefix: list[int]):
-        if j == n:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        col = columns[j]
-        ub = remaining
-        for i in range(m):
-            if col[i] > 0:
-                ub = min(ub, residual[i] // col[i])
-        for k in range(ub, -1, -1):
-            new_res = [residual[i] - k * col[i] for i in range(m)]
-            yield from rec(j + 1, new_res, remaining - k, prefix + [k])
-
-    yield from rec(0, list(cap), total, [])
 
 
 def generic_gap_test(f: FpPoly) -> bool:

@@ -90,7 +90,8 @@ class TestNu:
             p = rng.choice([2, 3, 5, 7])
             f = random_fp_poly(rng, p)
             table = charp.nu_table(f, 2)
-            assert table.values == (charp.nu(f, 1), charp.nu(f, 2))
+            expected = oracles.nu_expansion_oracle(f.terms, p, [1, 2], 2)
+            assert table.values == (expected[1], expected[2])
 
     def test_against_expansion_oracle_sample(self):
         rng = random.Random(37)
@@ -168,6 +169,45 @@ class TestCertifyLower:
 
     def test_lambda_zero(self):
         assert charp.certify_lower(CUSP5, F(0), 1) is True
+
+    def test_against_truncated_power_oracle(self):
+        # t = nu(e) survives the level-e truncation of the full power, and
+        # t = nu(e) + 1 (when still below p^e) does not
+        rng = random.Random(61)
+        for p in (2, 3, 5, 7):
+            for e in (1, 2):
+                q = p**e
+                for _ in range(4):
+                    f = random_fp_poly(rng, p)
+                    v = charp.nu(f, e)
+                    for t in (v, v + 1):
+                        if t == 0 or t > q - 1:
+                            continue
+                        power = oracles.poly_pow(f.terms, t, p, f.num_vars)
+                        survives = any(all(a < q for a in k) for k in power)
+                        assert survives == (t == v), (f, e, t)
+                        assert charp.certify_lower(f, F(t, q - 1), e) is survives
+
+
+class TestTermCharges:
+    # charges of the shared power loop at CUSP7; no call may charge more
+    # than the loop it replaced, and nu(2) no more than nu_table(2)
+    @pytest.mark.parametrize(
+        "call,limit",
+        [
+            (lambda b: charp.nu(CUSP7, 1, b), 16),
+            (lambda b: charp.nu(CUSP7, 2, b), 36),
+            (lambda b: charp.nu_table(CUSP7, 2, b), 36),
+            (lambda b: charp.certify_lower(CUSP7, F(5, 6), 1, b), 14),
+            (lambda b: charp.certify_lower(CUSP7, F(1), 1, b), 16),
+            (lambda b: charp.fpt_is_one(CUSP7, b), 16),
+        ],
+        ids=["nu1", "nu2", "nu_table2", "certify_5/6", "certify_1", "fpt_is_one"],
+    )
+    def test_cusp7_charges(self, call, limit):
+        budget = TermBudget()
+        call(budget)
+        assert 0 < budget.used <= limit
 
 
 class TestFptIsOne:

@@ -1,5 +1,6 @@
 """Splitting polytope, Newton polyhedron, and minimal-face analysis."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -61,6 +62,40 @@ class TestSplittingPolytope:
     def test_single_variable(self):
         lp = polygeo.splitting_polytope(ms((1,)))
         assert lp.constraint_matrix == ((F(1),),)
+
+
+class TestLatticePoints:
+    @staticmethod
+    def brute_force(columns, bound, total, exact):
+        # every k in a box that holds all solutions, largest first
+        box = [range(total, -1, -1)] * len(columns)
+        out = []
+        for k in itertools.product(*box):
+            image = [sum(c[i] * x for c, x in zip(columns, k)) for i in range(len(bound))]
+            fits = image == list(bound) if exact else all(
+                a <= b for a, b in zip(image, bound)
+            )
+            if sum(k) == total and fits:
+                out.append(k)
+        return out
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_against_product_in_order(self, exact):
+        rng = random.Random(41 + exact)
+        for _ in range(150):
+            m = rng.randint(1, 3)
+            n = rng.randint(1, 4)
+            columns = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(n)]
+            columns = [c if any(c) else (1,) + c[1:] for c in columns]
+            bound = [rng.randint(0, 9) for _ in range(m)]
+            total = rng.randint(0, 6)
+            got = list(polygeo.lattice_points(columns, bound, total, exact=exact))
+            assert got == self.brute_force(columns, bound, total, exact)
+
+    def test_degenerate_inputs(self):
+        assert list(polygeo.lattice_points([], [0], 0, exact=True)) == [()]
+        assert list(polygeo.lattice_points([], [1], 0, exact=True)) == []
+        assert list(polygeo.lattice_points([(1,)], [3], -1)) == []
 
 
 class TestThreshold:
