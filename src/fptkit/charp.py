@@ -83,10 +83,13 @@ class FpPoly:
         p = self.p
         out: dict[tuple[int, ...], int] = {}
         get = out.get
+        room = math.inf if budget is None else budget.limit - budget.used
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out[k] = (get(k, 0) + c1 * c2) % p
+            if len(out) > room:
+                break  # the charge below raises: build no more of the product
         if budget is not None:
             budget.charge(len(out))
         result = FpPoly.__new__(FpPoly)

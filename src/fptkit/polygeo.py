@@ -245,18 +245,15 @@ def _extension_amount_at(
         rhs.append(v[i])
     rows.append((ZERO,) * n + (ONE,))  # eps <= 1 cap: only the sign matters
     rhs.append(ONE)
-    lp = LinearProgram(
-        objective=(ZERO,) * n + (ONE,),
-        constraint_matrix=tuple(rows),
-        rhs=tuple(rhs),
-    )
     # |s| = 1 pinned by an equality pair
     sum_row = (ONE,) * n + (ZERO,)
+    rows += [sum_row, tuple(-c for c in sum_row)]
+    rhs += [ONE, -ONE]
     out = ratlp.maximize(
         LinearProgram(
-            objective=lp.objective,
-            constraint_matrix=lp.constraint_matrix + (sum_row, tuple(-c for c in sum_row)),
-            rhs=lp.rhs + (ONE, -ONE),
+            objective=(ZERO,) * n + (ONE,),
+            constraint_matrix=tuple(rows),
+            rhs=tuple(rhs),
         )
     )
     assert out.status == OPTIMAL

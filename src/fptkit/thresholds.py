@@ -19,7 +19,6 @@ from typing import Sequence
 
 from . import charp, exactnum, polygeo
 from .charp import (
-    BRACKET,
     EXACT,
     LOWER_BOUND,
     Certificate,
@@ -286,8 +285,8 @@ def unique_point_coefficient(f: FpPoly, e: int, ms: MonomialSet | None = None) -
     return value
 
 
-def _certificate_level(point: Sequence[Fraction], p: int, cap: int) -> int | None:
-    """Smallest e <= cap with (p^e - 1) * point integral, via the
+def _certificate_level(point: Sequence[Fraction], p: int) -> int | None:
+    """Smallest e <= DEFAULT_ORDER_CAP with (p^e - 1) * point integral, via the
     multiplicative order of p modulo the lcm of the denominators."""
     d = math.lcm(*(Fraction(x).denominator for x in point)) if point else 1
     if d == 1:
@@ -298,7 +297,7 @@ def _certificate_level(point: Sequence[Fraction], p: int, cap: int) -> int | Non
     acc = p % d
     while acc != 1:
         e += 1
-        if e > cap:
+        if e > DEFAULT_ORDER_CAP:
             return None
         acc = acc * p % d
     return e
@@ -337,7 +336,6 @@ def _scan_one_prime(
     e_max: int,
     budget_limit: int,
     preserve_support: bool,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> ScanRow:
     alpha = geometry.threshold
     target = min(ONE, alpha)
@@ -350,10 +348,34 @@ def _scan_one_prime(
             prime=p, claim=REDUCTION_ERROR, error="all coefficients vanish mod p"
         )
 
-    report = ThresholdReport(kind=BRACKET)
+    # One budget caps the row: the bracket's sweep and any certificate
+    # replayed past the levels that sweep completed.  The bracket's notes
+    # go after the row's own.
+    budget = TermBudget(budget_limit)
+    report = charp.bracket(fp, e_max, budget)
+    nu = report.nu_values.values if report.nu_values is not None else ()
+    bracket_notes, report.notes = report.notes, []
     exact_value: Fraction | None = None
     lower: Fraction | None = None
-    certified = False
+
+    def certify(lam: Fraction, e: int, disagreement: str) -> None:
+        """Record the certificate (e, lam) once (p^e - 1) * lam <= nu(e) is
+        replayed, or note that the budget ran out first.  The caller has
+        proved the claim, so a refuted certificate is an internal error."""
+        if e <= len(nu):
+            ok = (p**e - 1) * lam <= nu[e - 1]
+        else:
+            try:
+                ok = charp.certify_lower(fp, lam, e, budget)
+            except BudgetExceededError:
+                report.budget_exhausted = True
+                report.notes.append(
+                    f"budget exhausted while replaying the level-{e} certificate"
+                )
+                return
+        if not ok:
+            raise AssertionError(disagreement)
+        report.certificates.append(Certificate(e=e, lam=lam, verified=True))
 
     # the support-driven criteria speak about polynomials with the *full*
     # support; a model that dropped terms only gets direct computations
@@ -364,19 +386,11 @@ def _scan_one_prime(
         verdict = carry_criterion(ms, p, point=geometry.point)
         if verdict.kind == EXACT:
             exact_value = verdict.value
-            level = _certificate_level(geometry.point, p, order_cap)
+            level = _certificate_level(geometry.point, p)
             if level is not None:
-                ok = charp.certify_lower(
-                    fp, alpha, level, TermBudget(budget_limit)
+                certify(
+                    alpha, level, "carry criterion and splitting certificate disagree"
                 )
-                if not ok:
-                    raise AssertionError(
-                        "carry criterion and splitting certificate disagree"
-                    )
-                report.certificates.append(
-                    Certificate(e=level, lam=alpha, verified=True)
-                )
-                certified = True
             else:
                 report.notes.append(
                     "exact by carry-free digits; no finite splitting "
@@ -391,15 +405,7 @@ def _scan_one_prime(
             try:
                 if generic_gap_test(fp):
                     exact_value = alpha
-                    ok = charp.certify_lower(fp, alpha, 1, TermBudget(budget_limit))
-                    if not ok:
-                        raise AssertionError(
-                            "gap test and splitting certificate disagree"
-                        )
-                    report.certificates.append(
-                        Certificate(e=1, lam=alpha, verified=True)
-                    )
-                    certified = True
+                    certify(alpha, 1, "gap test and splitting certificate disagree")
                 else:
                     report.notes.append(
                         "coefficient polynomial vanishes mod p (inconclusive)"
@@ -410,42 +416,25 @@ def _scan_one_prime(
     # A lower bound of 1 is already exact (thresholds never exceed 1) and
     # always certifiable at level 1.
     if exact_value is None and lower == 1:
-        ok = charp.certify_lower(fp, ONE, 1, TermBudget(budget_limit))
-        if not ok:
-            raise AssertionError("lower bound 1 must be certifiable at level 1")
-        exact_value = ONE
-        report.certificates.append(Certificate(e=1, lam=ONE, verified=True))
-        certified = True
-        lower = None
+        exact_value, lower = ONE, None
+        certify(ONE, 1, "lower bound 1 must be certifiable at level 1")
 
     # When the monomial threshold exceeds 1 the polynomial threshold may
-    # still top out at 1; that single question is decidable outright.
+    # still top out at 1, which holds exactly when nu(1) = p - 1.
     if exact_value is None and alpha > 1:
-        try:
-            if charp.fpt_is_one(fp, TermBudget(budget_limit)):
-                exact_value = ONE
-                report.certificates.append(Certificate(e=1, lam=ONE, verified=True))
-                certified = True
-                lower = None
-            else:
-                report.notes.append("threshold is strictly below 1")
-        except BudgetExceededError:
+        if not nu:
             report.notes.append("budget exhausted while testing threshold 1")
+        elif nu[0] == p - 1:
+            exact_value, lower = ONE, None
+            report.certificates.append(Certificate(e=1, lam=ONE, verified=True))
+        else:
+            report.notes.append("threshold is strictly below 1")
 
-    try:
-        br = charp.bracket(fp, e_max, TermBudget(budget_limit))
-        report.bracket = br.bracket
-        report.nu_values = br.nu_values
-        report.budget_exhausted = br.budget_exhausted
-        report.notes.extend(br.notes)
-    except BudgetExceededError as ex:  # defensive: bracket() reports, not raises
-        report.budget_exhausted = True
-        report.notes.append(str(ex))
-
+    report.notes += bracket_notes
     if exact_value is not None:
         report.kind = EXACT
         report.value = exact_value
-        claim = CERTIFIED_EXACT if certified else LOWER_BOUND_ONLY
+        claim = CERTIFIED_EXACT if report.certificates else LOWER_BOUND_ONLY
     elif lower is not None:
         report.kind = LOWER_BOUND
         report.value = lower
@@ -453,7 +442,6 @@ def _scan_one_prime(
         if report.bracket is not None and lower == report.bracket[1]:
             report.notes.append("lower bound meets the bracket upper end: value is exact")
     else:
-        report.kind = BRACKET
         claim = BRACKET_ONLY
 
     pinned = exact_value is not None or (

@@ -209,6 +209,16 @@ class TestTermCharges:
         call(budget)
         assert 0 < budget.used <= limit
 
+    def test_multiply_stops_at_the_limit(self):
+        # the full product has over 900 terms; the charge comes once the
+        # terms built so far pass the limit, at most one row of 3 past it
+        big = FpPoly(31, 2, {(i, j): 1 for i in range(30) for j in range(30)})
+        small = FpPoly(31, 2, {(1, 0): 1, (0, 1): 2, (3, 3): 1})
+        budget = TermBudget(100)
+        with pytest.raises(BudgetExceededError):
+            big.multiply(small, budget)
+        assert 100 < budget.used <= 100 + 3
+
 
 class TestFptIsOne:
     def test_line_plus_curve(self):

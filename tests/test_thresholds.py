@@ -256,13 +256,17 @@ class TestScan:
         assert rows[1].claim == LOWER_BOUND_ONLY
 
     def test_certificates_replay(self):
-        rows = dense_fpurity_scan(parse_polynomial("x^2+y^3"), [7, 13], e_max=2)
-        for row in rows:
-            assert row.claim == CERTIFIED_EXACT
-            assert row.report.certificates
-            for cert in row.report.certificates:
-                f_p = fp(row.prime, "x^2+y^3")
-                assert charp.certify_lower(f_p, cert.lam, cert.e) is True
+        # carry-criterion rows, gap-test rows and alpha > 1 rows (bound 1)
+        cases = [("x^2+y^3", [7, 13]), ("x^2+x*y+y^2", [5, 7]), ("x+y^2", [3, 5, 7])]
+        for text, primes in cases:
+            rows = dense_fpurity_scan(parse_polynomial(text), primes, e_max=2)
+            assert [row.prime for row in rows] == primes
+            for row in rows:
+                assert row.claim == CERTIFIED_EXACT
+                assert row.report.certificates
+                for cert in row.report.certificates:
+                    f_p = fp(row.prime, text)
+                    assert charp.certify_lower(f_p, cert.lam, cert.e) is True
 
     def test_non_unique_support_uses_gap_test(self):
         # alpha({x^2, xy, y^2}) = 1 with a whole edge of maximizers
@@ -303,10 +307,13 @@ class TestScan:
         with pytest.raises(ValueError):
             dense_fpurity_scan(parse_polynomial("x"), [4], e_max=1)
 
-    def test_exact_certificate_at_deeper_level(self):
+    @pytest.mark.parametrize("e_max", [1, 3])
+    def test_exact_certificate_at_deeper_level(self, e_max):
         # support {x^3} at p = 2: carry-free, and the smallest usable level
-        # is the order of 2 mod 3, namely e = 2
-        (row,) = dense_fpurity_scan(parse_polynomial("x^3"), [2], e_max=3)
+        # is the order of 2 mod 3, namely e = 2; with e_max = 1 that level
+        # lies past the nu table and is replayed on the row's budget
+        (row,) = dense_fpurity_scan(parse_polynomial("x^3"), [2], e_max=e_max)
+        assert len(row.report.nu_values.values) == e_max
         assert row.claim == CERTIFIED_EXACT
         assert row.value == F(1, 3)
         (cert,) = row.report.certificates
@@ -335,6 +342,44 @@ class TestScan:
         assert row.value == 1
         assert not row.witness
         assert any("support changed" in note for note in row.report.notes)
+
+    def test_budget_exhausted_replay_is_labelled(self):
+        # at 127 and 211 the carry criterion proves 41/42 exactly with a
+        # level-1 certificate, but 10^4 terms do not finish level 1: the row
+        # keeps the exact value, unreplayed, and the scan goes on
+        f = parse_polynomial("x^2+y^3+z^7")
+        rows = dense_fpurity_scan(f, [5, 127, 211], e_max=1, budget_limit=10_000)
+        assert [row.prime for row in rows] == [5, 127, 211]
+        assert (rows[0].claim, rows[0].report.kind) == (LOWER_BOUND_ONLY, LOWER_BOUND)
+        for row in rows[1:]:
+            assert row.report.kind == EXACT
+            assert row.value == F(41, 42)
+            assert row.claim == LOWER_BOUND_ONLY
+            assert not row.report.certificates
+            assert row.report.budget_exhausted
+            assert (
+                "budget exhausted while replaying the level-1 certificate"
+                in row.report.notes
+            )
+        # x^5 at 2: the bracket completes level 1 on no terms, and the
+        # level-4 replay past it runs out of a 1-term budget
+        f = parse_polynomial("x^5")
+        (row,) = dense_fpurity_scan(f, [2], e_max=1, budget_limit=1)
+        assert row.report.nu_values.values == (0,)
+        assert (row.report.kind, row.claim) == (EXACT, LOWER_BOUND_ONLY)
+        assert row.report.budget_exhausted and not row.report.certificates
+        assert row.report.notes == [
+            "budget exhausted while replaying the level-4 certificate"
+        ]
+
+    def test_threshold_below_one_read_off_nu1(self):
+        # 3x + y^2 keeps only y^2 mod 3: alpha({x, y^2}) = 3/2 > 1, but
+        # nu(1) = 1 < p - 1, so the threshold of y^2 is strictly below 1
+        f = parse_polynomial("3*x + y^2")
+        (row,) = dense_fpurity_scan(f, [3], e_max=2, preserve_support=False)
+        assert row.claim == BRACKET_ONLY
+        assert row.bracket == (F(4, 9), F(5, 9))
+        assert "threshold is strictly below 1" in row.report.notes
 
     def test_vanishing_polynomial_is_a_reduction_error_row(self):
         f = parse_polynomial("7*x + 7*y")
