@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from . import ratlp
+from . import exactnum
 from .errors import BudgetExceededError, IntegralityError, ReductionError
-from .polygeo import MonomialSet, lattice_points, splitting_polytope
+from .polygeo import MonomialSet, lattice_points, splitting_threshold
 
 DEFAULT_TERM_BUDGET = 5_000_000
 
@@ -165,6 +165,7 @@ def reduce_mod_p(f: QPoly, p: int, preserve_support: bool = True) -> FpPoly:
     an error: the mod-p models downstream are only meaningful when they keep
     the full set of supporting monomials.
     """
+    exactnum._check_prime(p)
     terms: dict[tuple[int, ...], int] = {}
     for k, c in f.terms.items():
         if c.denominator % p == 0:
@@ -327,7 +328,7 @@ def nu_ideal(ms: MonomialSet, p: int, e: int) -> int:
         raise ValueError(f"level must be >= 1, got {e}")
     cap = p**e - 1
     bound = [cap] * ms.num_vars
-    lp_floor = math.floor(ratlp.maximize(splitting_polytope(ms)).value * cap)
+    lp_floor = math.floor(splitting_threshold(ms) * cap)
     return next(
         total
         for total in range(lp_floor, -1, -1)

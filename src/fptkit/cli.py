@@ -41,20 +41,24 @@ def _point_text(point) -> str:
     return "(" + ", ".join(_fmt(x) for x in point) + ")"
 
 
-def cmd_alpha(args) -> int:
-    ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
-    mp = polygeo.maximal_points(ms)
+def _print_minimal_face(ms: polygeo.MonomialSet) -> None:
     analysis = polygeo.newton_analysis(ms)
-    print(f"alpha = {_fmt(mp.threshold)}")
-    print(f"unique maximal point: {'yes' if mp.unique else 'no'}")
-    if mp.unique:
-        print(f"maximal point: {_point_text(mp.point)}")
     members = ", ".join(
         parsing.monomial_text(ms.monomials[i], ms.num_vars)
         for i in analysis.lambda_members
     )
     print(f"diagonal position: {'yes' if analysis.diagonal_position else 'no'}")
     print(f"minimal face members ({analysis.r}): {members}")
+
+
+def cmd_alpha(args) -> int:
+    ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
+    mp = polygeo.maximal_points(ms)
+    print(f"alpha = {_fmt(mp.threshold)}")
+    print(f"unique maximal point: {'yes' if mp.unique else 'no'}")
+    if mp.unique:
+        print(f"maximal point: {_point_text(mp.point)}")
+    _print_minimal_face(ms)
     return EXIT_OK
 
 
@@ -66,14 +70,8 @@ def cmd_lct(args) -> int:
 
 def cmd_newton(args) -> int:
     ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
-    analysis = polygeo.newton_analysis(ms)
-    print(f"alpha = {_fmt(analysis.threshold)}")
-    print(f"diagonal position: {'yes' if analysis.diagonal_position else 'no'}")
-    members = ", ".join(
-        parsing.monomial_text(ms.monomials[i], ms.num_vars)
-        for i in analysis.lambda_members
-    )
-    print(f"minimal face members ({analysis.r}): {members}")
+    print(f"alpha = {_fmt(polygeo.splitting_threshold(ms))}")
+    _print_minimal_face(ms)
     if args.contains:
         point = [Fraction(part.strip()) for part in args.contains.split(",")]
         inside = polygeo.newton_contains(ms, point)
@@ -196,6 +194,8 @@ def cmd_scan(args) -> int:
         raise ValueError(f"e_max must be >= 1, got {e_max}")
     if budget < 10**4:
         raise ValueError(f"budget must be at least 10^4, got {budget}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     primes = _scan_primes(args, config)
 
     f = parsing.parse_polynomial(args.polynomial, num_vars=args.vars or None)

@@ -14,6 +14,7 @@ by vertex enumeration reading N, so the two routes check each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,17 +81,34 @@ class NewtonAnalysis:
     diagonal_position: bool
 
 
+def _once_per_support(solve):
+    """Solve a support's geometry once per MonomialSet object: the result is
+    kept in the instance's __dict__ (a frozen dataclass still has one).  The
+    scan fills it before its workers start; two calls that race on a cold
+    support both store the same value."""
+    name = solve.__name__
+
+    @functools.wraps(solve)
+    def kept(ms: MonomialSet):
+        memo = ms.__dict__
+        if name not in memo:
+            memo[name] = solve(ms)
+        return memo[name]
+
+    return kept
+
+
 def splitting_polytope(ms: MonomialSet) -> LinearProgram:
     """H-representation of P = {s >= 0 : E s <= 1} with the coordinate-sum
     objective attached (the objective every caller here maximizes)."""
-    e = ms.exponent_matrix
     return LinearProgram(
         objective=(ONE,) * ms.num_monomials,
-        constraint_matrix=tuple(tuple(Fraction(a) for a in row) for row in e),
+        constraint_matrix=ms.exponent_matrix,
         rhs=(ONE,) * ms.num_vars,
     )
 
 
+@_once_per_support
 def splitting_threshold(ms: MonomialSet) -> Fraction:
     """Maximal coordinate sum over the splitting polytope (simplex route)."""
     out = ratlp.maximize(splitting_polytope(ms))
@@ -140,13 +158,12 @@ def lattice_points(
     yield from rec(0, list(bound), total, ())
 
 
+@_once_per_support
 def maximal_points(ms: MonomialSet) -> MaximalPointResult:
     """Threshold plus uniqueness of the coordinate-sum maximizer over P."""
-    lp = splitting_polytope(ms)
-    out = ratlp.maximize(lp)
-    assert out.status == OPTIMAL
-    unique, point = ratlp.optimum_is_unique(lp)
-    return MaximalPointResult(threshold=out.value, unique=unique, point=point)
+    alpha = splitting_threshold(ms)
+    point = ratlp._face_point(splitting_polytope(ms), alpha)
+    return MaximalPointResult(threshold=alpha, unique=point is not None, point=point)
 
 
 def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
@@ -160,11 +177,7 @@ def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
         raise ValueError(f"point has {len(v)} coordinates, expected {ms.num_vars}")
     n = ms.num_monomials
     lp = LinearProgram(
-        objective=(ZERO,) * n,
-        constraint_matrix=tuple(
-            tuple(Fraction(a) for a in row) for row in ms.exponent_matrix
-        ),
-        rhs=tuple(v),
+        objective=(ZERO,) * n, constraint_matrix=ms.exponent_matrix, rhs=tuple(v)
     )
     out = ratlp.feasible(lp, extra_equalities=[((ONE,) * n, ONE)])
     return out.status == OPTIMAL
@@ -224,74 +237,42 @@ def newton_threshold(ms: MonomialSet) -> Fraction:
     return best
 
 
-def _extension_amount_at(
-    ms: MonomialSet, alpha: Fraction, direction: Sequence[Fraction]
-) -> Fraction:
-    """max eps in [0, 1] with v + eps*direction in N, for v = (1/alpha)*1.
-
-    Variables are (s, eps); E s - eps*direction <= v keeps E s below the
-    moved target while the orthant part of N absorbs slack.  Feasible at
-    eps = 0 since v lies on the boundary of N.  Only the sign of the
-    optimum matters, hence the cap at 1.
-    """
-    n = ms.num_monomials
-    m = ms.num_vars
-    v = [ONE / alpha] * m
-    rows = []
-    rhs = []
-    e = ms.exponent_matrix
-    for i in range(m):
-        rows.append(tuple(Fraction(a) for a in e[i]) + (-Fraction(direction[i]),))
-        rhs.append(v[i])
-    rows.append((ZERO,) * n + (ONE,))  # eps <= 1 cap: only the sign matters
-    rhs.append(ONE)
-    # |s| = 1 pinned by an equality pair
-    sum_row = (ONE,) * n + (ZERO,)
-    rows += [sum_row, tuple(-c for c in sum_row)]
-    rhs += [ONE, -ONE]
-    out = ratlp.maximize(
-        LinearProgram(
-            objective=(ZERO,) * n + (ONE,),
-            constraint_matrix=tuple(rows),
-            rhs=tuple(rhs),
-        )
-    )
-    assert out.status == OPTIMAL
-    return out.value
-
-
+@_once_per_support
 def newton_analysis(ms: MonomialSet) -> NewtonAnalysis:
-    """Minimal-face membership and boundedness at v = (1/alpha)*(1,...,1).
+    """Minimal face of N at v = (1/alpha)*(1,...,1), read off the optimal
+    face of the splitting LP, F = {s in P : |s| = alpha}.
 
-    v lies in the relative interior of its minimal face, so a generator a_i
-    belongs to the face iff the segment from a_i through v extends past v
-    inside N (positive eps in the ray test).  The face is unbounded iff some
-    coordinate ray direction extends from v *backwards* into N, i.e.
-    v - eps*e_i stays in N for positive eps; boundedness of the face is
-    exactly "no coordinate direction survives", which is the diagonal
-    position test.
+    The dual optima of  max |s|  subject to  E s <= 1, s >= 0  are the
+    y >= 0 with E^T y >= 1 and |y| = alpha, i.e. y.a_i >= 1 = y.v: exactly
+    the supporting hyperplanes of N at v.  The minimal face is N cut by
+    such a hyperplane y* from the relative interior of the dual optima, and
+    by strict complementarity (Goldman-Tucker) some maximal point s* pairs
+    with y*: s*_i > 0 iff y*.a_i = 1, and (E s*)_k < 1 iff y*_k = 0.  So
+
+    * a_i lies on the minimal face iff s_i > 0 at some maximal point, i.e.
+      max s_i over F is positive;
+    * e_k lies in the face's recession cone (y*_k = 0) iff row k has slack
+      at some maximal point; the face is bounded -- diagonal position -- iff
+      min (E s)_k over F is 1 for every k.
     """
     alpha = splitting_threshold(ms)
-    v = [ONE / alpha] * ms.num_vars
-    members = []
-    for i, a in enumerate(ms.monomials):
-        direction = [v[k] - a[k] for k in range(ms.num_vars)]
-        if _extension_amount_at(ms, alpha, direction) > 0:
-            members.append(i)
-    diagonal = True
-    for k in range(ms.num_vars):
-        direction = [ZERO] * ms.num_vars
-        direction[k] = -ONE
-        if _extension_amount_at(ms, alpha, direction) > 0:
-            diagonal = False
-            break
+    lp = splitting_polytope(ms)
+    n = ms.num_monomials
+
+    def face_max(objective: Sequence[Fraction]) -> Fraction:
+        return ratlp.maximize_over_optimal_face(lp, alpha, objective).value
+
+    members = tuple(
+        j for j in range(n) if face_max([ONE if i == j else ZERO for i in range(n)]) > 0
+    )
+    diagonal = all(face_max([-a for a in row]) == -1 for row in ms.exponent_matrix)
     if not members and diagonal:
         raise AssertionError(
             "internal inconsistency: empty minimal face cannot be bounded"
         )
     return NewtonAnalysis(
         threshold=alpha,
-        lambda_members=tuple(members),
+        lambda_members=members,
         r=len(members),
         diagonal_position=diagonal,
     )

@@ -240,39 +240,46 @@ def feasible(
     return maximize(probe)
 
 
-def _with_objective_fixed(lp: LinearProgram, value: Fraction) -> list:
-    rows = [list(r) for r in lp.constraint_matrix]
-    rhs = list(lp.rhs)
-    rows.append(list(lp.objective))
-    rhs.append(value)
-    rows.append([-c for c in lp.objective])
-    rhs.append(-value)
-    return [rows, rhs]
+def maximize_over_optimal_face(
+    lp: LinearProgram, optimum: Fraction, objective: Sequence[Fraction]
+) -> LpOutcome:
+    """Exact max objective.x over the optimal face of lp,
+    {x >= 0 : Ax <= b, c.x = optimum}, given lp's optimal value.
 
-
-def optimum_is_unique(lp: LinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Whether the optimal face of lp is a single point, and that point.
-
-    Decided coordinate by coordinate: each x_j is maximized and minimized
-    over the optimal face; the optimum is unique iff every range collapses.
+    c.x <= optimum already holds on the whole feasible set, so the face is
+    cut out by the one extra row  -c.x <= -optimum.
     """
-    base = maximize(lp)
-    if base.status != OPTIMAL:
-        raise ValueError(f"optimum_is_unique requires an OPTIMAL LP, got {base.status}")
-    rows, rhs = _with_objective_fixed(lp, base.value)
+    return maximize(
+        LinearProgram(
+            objective=objective,
+            constraint_matrix=lp.constraint_matrix + (tuple(-c for c in lp.objective),),
+            rhs=lp.rhs + (-optimum,),
+        )
+    )
+
+
+def _face_point(lp: LinearProgram, optimum: Fraction) -> tuple[Fraction, ...] | None:
+    """The single point of lp's optimal face, or None when the face holds
+    more than one point: each x_j is maximized and minimized over the face,
+    and the face is a point iff every range collapses."""
     n = lp.num_vars
     point: list[Fraction] = []
     for j in range(n):
-        lo_obj = [ZERO] * n
-        lo_obj[j] = Fraction(-1)
-        hi_obj = [ZERO] * n
-        hi_obj[j] = ONE
-        hi = maximize(LinearProgram(tuple(hi_obj), tuple(map(tuple, rows)), tuple(rhs)))
-        lo = maximize(LinearProgram(tuple(lo_obj), tuple(map(tuple, rows)), tuple(rhs)))
-        if hi.status != OPTIMAL or lo.status != OPTIMAL:
-            # coordinate unbounded along the optimal face
-            return False, None
-        if hi.value != -lo.value:
-            return False, None
+        unit = [ZERO] * n
+        unit[j] = ONE
+        hi = maximize_over_optimal_face(lp, optimum, unit)
+        lo = maximize_over_optimal_face(lp, optimum, [-x for x in unit])
+        if hi.status != OPTIMAL or lo.status != OPTIMAL or hi.value != -lo.value:
+            # unbounded or not a single value along the optimal face
+            return None
         point.append(hi.value)
-    return True, tuple(point)
+    return tuple(point)
+
+
+def optimum_is_unique(lp: LinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """Whether the optimal face of lp is a single point, and that point."""
+    base = maximize(lp)
+    if base.status != OPTIMAL:
+        raise ValueError(f"optimum_is_unique requires an OPTIMAL LP, got {base.status}")
+    point = _face_point(lp, base.value)
+    return point is not None, point

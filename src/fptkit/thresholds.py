@@ -60,28 +60,21 @@ def _require_support(f: FpPoly, ms: MonomialSet) -> None:
         raise ValueError("polynomial support does not match the monomial set")
 
 
-def carry_criterion(
-    ms: MonomialSet, p: int, point: Sequence[Fraction] | None = None
-) -> CarryVerdict:
+def carry_criterion(ms: MonomialSet, p: int) -> CarryVerdict:
     """Exact value or lower bound from the digits of the unique maximizer.
 
     With L the last position at which the maximizer's entries add without
     carrying: L infinite gives the exact monomial threshold; finite L gives
     the bound  sum of L-truncations + p**-L.
     """
-    if point is None:
-        mp = polygeo.maximal_points(ms)
-        if not mp.unique:
-            raise NotApplicableError("splitting polytope has no unique maximal point")
-        point = mp.point
-        alpha = mp.threshold
-    else:
-        alpha = sum(Fraction(x) for x in point)
-    profile = carry_free_prefix(point, p)
+    mp = polygeo.maximal_points(ms)
+    if not mp.unique:
+        raise NotApplicableError("splitting polytope has no unique maximal point")
+    profile = carry_free_prefix(mp.point, p)
     if profile.carry_free:
-        return CarryVerdict(L=None, kind=EXACT, value=alpha)
+        return CarryVerdict(L=None, kind=EXACT, value=mp.threshold)
     L = profile.L
-    bound = sum(truncate(x, p, L) for x in point) + Fraction(1, p**L)
+    bound = sum(truncate(x, p, L) for x in mp.point) + Fraction(1, p**L)
     return CarryVerdict(L=L, kind=LOWER_BOUND, value=bound)
 
 
@@ -210,7 +203,7 @@ def _integral_maximal_point(
     return None
 
 
-def generic_gap_test(f: FpPoly) -> bool:
+def generic_gap_test(f: FpPoly, ms: MonomialSet | None = None) -> bool:
     """Certify that f attains the threshold of its monomial support.
 
     Evaluates the coefficient polynomial of an integral maximal point at f's
@@ -218,7 +211,10 @@ def generic_gap_test(f: FpPoly) -> bool:
     f^((p-1)*alpha) and proves the threshold of f equals alpha exactly.
     Zero is inconclusive (the coefficients sit on the exceptional locus).
     """
-    ms = support_monomials(f)
+    if ms is None:
+        ms = support_monomials(f)
+    else:
+        _require_support(f, ms)
     alpha = polygeo.splitting_threshold(ms)
     if alpha > 1:
         raise NotApplicableError(f"threshold {alpha} exceeds 1")
@@ -331,12 +327,12 @@ class ScanRow:
 def _scan_one_prime(
     f: QPoly,
     ms: MonomialSet,
-    geometry: polygeo.MaximalPointResult,
     p: int,
     e_max: int,
     budget_limit: int,
     preserve_support: bool,
 ) -> ScanRow:
+    geometry = polygeo.maximal_points(ms)
     alpha = geometry.threshold
     target = min(ONE, alpha)
     try:
@@ -383,7 +379,7 @@ def _scan_one_prime(
     if not full_support:
         report.notes.append("support changed under reduction; geometric criteria skipped")
     elif geometry.unique:
-        verdict = carry_criterion(ms, p, point=geometry.point)
+        verdict = carry_criterion(ms, p)
         if verdict.kind == EXACT:
             exact_value = verdict.value
             level = _certificate_level(geometry.point, p)
@@ -403,7 +399,7 @@ def _scan_one_prime(
         report.notes.append("no unique maximal point")
         if alpha <= 1:
             try:
-                if generic_gap_test(fp):
+                if generic_gap_test(fp, ms):
                     exact_value = alpha
                     certify(alpha, 1, "gap test and splitting certificate disagree")
                 else:
@@ -470,13 +466,11 @@ def dense_fpurity_scan(
     if not f.terms:
         raise ValueError("cannot scan the zero polynomial")
     ms = support_monomials(f)
-    geometry = polygeo.maximal_points(ms)
+    polygeo.maximal_points(ms)  # solved here, once, before any worker reads it
     ordered = sorted(set(primes))
 
     def work(p: int) -> ScanRow:
-        return _scan_one_prime(
-            f, ms, geometry, p, e_max, budget_limit, preserve_support
-        )
+        return _scan_one_prime(f, ms, p, e_max, budget_limit, preserve_support)
 
     if jobs <= 1:
         return [work(p) for p in ordered]

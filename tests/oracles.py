@@ -120,44 +120,103 @@ def lp_vertex_oracle(c, a_matrix, b):
 # Fourier-Motzkin feasibility (for Newton polyhedron membership)
 
 
+def fm_eliminate(system, var: int):
+    """One Fourier-Motzkin step: the constraints (row, rhs), meaning
+    row . s <= rhs, that remain once variable var is projected out."""
+    uppers, lowers, rest = [], [], []
+    for row, r in system:
+        a = row[var]
+        if a > 0:
+            uppers.append(([x / a for x in row], r / a))
+        elif a < 0:
+            lowers.append(([x / -a for x in row], r / -a))
+        else:
+            rest.append((row, r))
+    for urow, ur in uppers:
+        for lrow, lr in lowers:
+            row = [u + l for u, l in zip(urow, lrow)]
+            row[var] = Fraction(0)
+            rest.append((row, ur + lr))
+    return rest
+
+
 def fm_feasible(constraints, n: int) -> bool:
     """Feasibility of {s in R^n : coeffs . s <= rhs for all constraints}."""
     system = [([Fraction(x) for x in row], Fraction(r)) for row, r in constraints]
     for var in range(n - 1, -1, -1):
-        uppers, lowers, rest = [], [], []
-        for row, r in system:
-            a = row[var]
-            if a > 0:
-                uppers.append(([x / a for x in row], r / a))
-            elif a < 0:
-                lowers.append(([x / -a for x in row], r / -a))
-            else:
-                rest.append((row, r))
-        new = rest
-        for urow, ur in uppers:
-            for lrow, lr in lowers:
-                row = [u + l for u, l in zip(urow, lrow)]
-                row[var] = Fraction(0)
-                new.append((row, ur + lr))
-        system = new
+        system = fm_eliminate(system, var)
     return all(r >= 0 for _, r in system)
+
+
+def _newton_constraints(monomials, v, direction):
+    """v + eps*direction in conv(monomials) + R^m_{>=0}, as constraints on
+    (s, eps): s >= 0, |s| = 1 and E s - eps*direction <= v."""
+    n = len(monomials)
+    cons = []
+    for j in range(n):
+        row = [Fraction(0)] * (n + 1)
+        row[j] = Fraction(-1)
+        cons.append((row, Fraction(0)))  # s_j >= 0
+    ones = [Fraction(1)] * n + [Fraction(0)]
+    cons.append((ones, Fraction(1)))
+    cons.append(([-x for x in ones], Fraction(-1)))  # sum = 1
+    for i in range(len(v)):
+        row = [Fraction(mon[i]) for mon in monomials] + [-Fraction(direction[i])]
+        cons.append((row, Fraction(v[i])))
+    return cons
 
 
 def newton_member_oracle(monomials, v) -> bool:
     """v in conv(monomials) + R^m_{>=0}, by eliminating the weights."""
+    cons = _newton_constraints(monomials, v, [0] * len(v))
+    return fm_feasible(cons, len(monomials) + 1)
+
+
+def _moves_into_newton(monomials, v, direction) -> bool:
+    """Whether v + eps*direction lies in N for some eps > 0: eliminate the
+    weights s, keeping eps, then read the interval of eps left over."""
     n = len(monomials)
-    m = len(v)
-    cons = []
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(-1)
-        cons.append((row, Fraction(0)))  # s_j >= 0
-    ones = [Fraction(1)] * n
-    cons.append((ones, Fraction(1)))
-    cons.append(([-x for x in ones], Fraction(-1)))  # sum = 1
-    for i in range(m):
-        cons.append(([Fraction(mon[i]) for mon in monomials], Fraction(v[i])))
-    return fm_feasible(cons, n)
+    system = _newton_constraints(monomials, v, direction)
+    for var in range(n - 1, -1, -1):
+        system = fm_eliminate(system, var)
+    lo, hi = None, None  # eps >= lo, eps <= hi
+    for row, r in system:
+        a = row[n]
+        if a > 0:
+            hi = r / a if hi is None else min(hi, r / a)
+        elif a < 0:
+            lo = r / a if lo is None else max(lo, r / a)
+        elif r < 0:
+            return False
+    if hi is None:
+        return True
+    return hi > 0 and (lo is None or lo <= hi)
+
+
+def newton_face_oracle(monomials, num_vars):
+    """(threshold, minimal-face members, diagonal position) at
+    v = (1/alpha)*(1,...,1), from the Newton-polyhedron definitions:
+
+    * alpha is the largest coordinate sum over {s >= 0 : E s <= 1}, by
+      brute-force vertex enumeration;
+    * a_i is a member iff v + eps*(v - a_i) lies in N for some eps > 0
+      (v is interior to a segment of N ending at a_i);
+    * diagonal position iff v - eps*e_k lies outside N for every k and every
+      eps > 0 (the minimal face has no coordinate recession direction).
+    """
+    rows = [[mon[i] for mon in monomials] for i in range(num_vars)]
+    _, alpha, _ = lp_vertex_oracle([1] * len(monomials), rows, [1] * num_vars)
+    v = [1 / alpha] * num_vars
+    members = tuple(
+        i
+        for i, a in enumerate(monomials)
+        if _moves_into_newton(monomials, v, [vk - ak for vk, ak in zip(v, a)])
+    )
+    diagonal = not any(
+        _moves_into_newton(monomials, v, [-1 if i == k else 0 for i in range(num_vars)])
+        for k in range(num_vars)
+    )
+    return alpha, members, diagonal
 
 
 # ---------------------------------------------------------------------------

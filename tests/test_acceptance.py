@@ -184,7 +184,7 @@ def test_criterion_6_carry_sandwich():
         alpha = mp.threshold
         for p in (2, 3, 5, 7):
             f_p = FpPoly(p, s.num_vars, {v: 1 for v in s.monomials})
-            verdict = thresholds.carry_criterion(s, p, point=mp.point)
+            verdict = thresholds.carry_criterion(s, p)
             for e_max in (1, 2):
                 low, high = charp.bracket(f_p, e_max).bracket
                 if verdict.kind == EXACT:
@@ -198,7 +198,7 @@ def test_criterion_6_carry_sandwich():
             continue
         (p,) = exactnum.primes_in_progression(d, 1)
         f_p = FpPoly(p, s.num_vars, {v: 1 for v in s.monomials})
-        verdict = thresholds.carry_criterion(s, p, point=mp.point)
+        verdict = thresholds.carry_criterion(s, p)
         if alpha <= 1:
             assert verdict.kind == EXACT and verdict.value == alpha
             assert charp.certify_lower(f_p, alpha, 1) is True

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fptkit.cli import main
 
 
@@ -82,6 +84,14 @@ class TestNuBracketCertify:
             capsys, "certify", "x^2+y^3", "-p", "5", "--lambda", "5/6", "-e", "1"
         )
         assert code == 4 and "not an integer" in err
+
+    @pytest.mark.parametrize(
+        "command, prime", [("nu", "4"), ("bracket", "0"), ("bracket", "1")]
+    )
+    def test_non_prime_exit_4(self, capsys, command, prime):
+        code, out, err = run(capsys, command, "x^2+y^3", "-p", prime, "-e", "1")
+        assert code == 4 and out == ""
+        assert f"base must be prime, got {prime}" in err
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "nu", "x^2+", "-p", "5", "-e", "1")
@@ -196,6 +206,20 @@ class TestScanCommand:
         assert [line.split(",")[0] for line in body] == ["2", "3"]
         # e_max override visible through the bracket denominator 3^2
         assert body[1].split(",")[5] == "2/3"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_4(self, capsys, tmp_path, source, jobs):
+        args = ["scan", "x^2+y^3", "--primes", "2,3", "--e-max", "1"]
+        if source == "flag":
+            args += ["--jobs", jobs]
+        else:
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(f"jobs={jobs}\n")
+            args += ["--config", str(cfg)]
+        code, out, err = run(capsys, *args)
+        assert code == 4 and out == ""
+        assert f"jobs must be >= 1, got {jobs}" in err
 
     def test_requires_exactly_one_prime_spec(self, capsys):
         code, _, err = run(capsys, "scan", "x^2+y^3")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptkit import polygeo
+from fptkit import polygeo, ratlp
 from fptkit.errors import InvalidMonomialSetError
 from fptkit.polygeo import MonomialSet
 
@@ -201,6 +201,35 @@ class TestNewtonAnalysis:
     def test_pyramid_is_diagonal(self):
         out = polygeo.newton_analysis(ms((3, 0), (0, 4), (2, 2)))
         assert out.diagonal_position
+
+    def test_against_face_oracle(self):
+        rng = random.Random(2718)
+        non_diagonal = off_face = 0
+        for _ in range(150):
+            s = random_monomial_set(rng, max_vars=3, max_monomials=4, max_exp=4)
+            out = polygeo.newton_analysis(s)
+            assert (
+                out.threshold,
+                out.lambda_members,
+                out.diagonal_position,
+            ) == oracles.newton_face_oracle(s.monomials, s.num_vars)
+            non_diagonal += not out.diagonal_position
+            off_face += out.r < s.num_monomials
+        assert non_diagonal > 0 and off_face > 0
+
+    def test_geometry_solved_once_per_support(self, monkeypatch):
+        s = ms((2, 0), (0, 2), (1, 1), (3, 1))
+        solves = []
+        maximize = ratlp.maximize
+        monkeypatch.setattr(ratlp, "maximize", lambda lp: solves.append(lp) or maximize(lp))
+        polygeo.maximal_points(s)
+        polygeo.newton_analysis(s)
+        assert solves.count(polygeo.splitting_polytope(s)) == 1
+        first = len(solves)
+        polygeo.splitting_threshold(s)
+        polygeo.maximal_points(s)
+        polygeo.newton_analysis(s)
+        assert len(solves) == first
 
     def test_maximal_point_structure_in_diagonal_position(self):
         # unique maximizer in diagonal position: zero off the face, E.eta = 1

@@ -101,6 +101,34 @@ def _random_lp(rng):
     return c, rows, b
 
 
+class TestOptimalFace:
+    def test_against_vertex_oracle(self):
+        # the optimal face is the hull of the optimal vertices plus its
+        # recession cone; with A >= 0 that cone is spanned by the e_j whose
+        # column and cost are both zero
+        rng = random.Random(31)
+        checked = 0
+        while checked < 60:
+            c, rows, b = _random_lp(rng)
+            status, value, vertices = oracles.lp_vertex_oracle(c, rows, b)
+            if status != OPTIMAL:
+                continue
+            checked += 1
+            d = [rng.randint(-3, 3) for _ in c]
+            out = ratlp.maximize_over_optimal_face(lp(c, rows, b), value, d)
+            recedes = [
+                j
+                for j in range(len(c))
+                if c[j] == 0 and all(row[j] == 0 for row in rows)
+            ]
+            if any(d[j] > 0 for j in recedes):
+                assert out.status == UNBOUNDED
+                continue
+            face = [x for x in vertices if sum(F(cj) * xj for cj, xj in zip(c, x)) == value]
+            assert out.status == OPTIMAL
+            assert out.value == max(sum(F(dj) * xj for dj, xj in zip(d, x)) for x in face)
+
+
 class TestAgainstVertexOracle:
     def test_two_hundred_random_lps(self):
         rng = random.Random(20260810)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fptkit import charp, polygeo, thresholds
+from fptkit import charp, exactnum, polygeo, ratlp, thresholds
 from fptkit.charp import EXACT, LOWER_BOUND, FpPoly
 from fptkit.errors import NotApplicableError, ReductionError
 from fptkit.parsing import parse_polynomial
@@ -147,6 +147,12 @@ class TestGenericGapTest:
         # coefficient polynomial t1*t3*2 + t2^2 vanishes at (1, 2, 1) mod 3
         f = fp(3, "x^2 + 2*x*y + y^2")
         assert thresholds.generic_gap_test(f) is False
+
+    def test_takes_the_support(self):
+        f = fp(7, "x^2+y^3")
+        assert thresholds.generic_gap_test(f, CUSP) is True
+        with pytest.raises(ValueError):
+            thresholds.generic_gap_test(f, MonomialSet(2, ((2, 0), (0, 2))))
 
     def test_certifies_exactness(self):
         f = fp(7, "3*x^2 + 5*y^3")
@@ -380,6 +386,19 @@ class TestScan:
         assert row.claim == BRACKET_ONLY
         assert row.bracket == (F(4, 9), F(5, 9))
         assert "threshold is strictly below 1" in row.report.notes
+
+    def test_solves_do_not_grow_with_primes(self, monkeypatch):
+        solves = []
+        maximize = ratlp.maximize
+        monkeypatch.setattr(ratlp, "maximize", lambda lp: solves.append(lp) or maximize(lp))
+        f = parse_polynomial("x^2+x*y+y^2")
+        counts = []
+        for top in (30, 120):
+            solves.clear()
+            primes = [p for p in range(2, top + 1) if exactnum.is_prime(p)]
+            dense_fpurity_scan(f, primes, e_max=1)
+            counts.append(len(solves))
+        assert counts[0] == counts[1] > 0
 
     def test_vanishing_polynomial_is_a_reduction_error_row(self):
         f = parse_polynomial("7*x + 7*y")
