@@ -252,8 +252,8 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
         if stop is not None and e == e_max:
             limit = min(limit, stop)
         if best:
-            # nonzero: r has exponents < p^(e-1), so the twist stays < p^e
-            best, r = p * best, frobenius_reduce(r.frobenius(), e)
+            # nonzero: r has exponents < p^(e-1), so the twist stays < p^e unreduced
+            best, r = p * best, r.frobenius()
         else:
             r = frobenius_reduce(f, e)
             best = 0 if r.is_zero() else 1

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import charp, exactnum, parsing, polygeo, thresholds
 from .charp import TermBudget
@@ -70,11 +69,12 @@ def cmd_lct(args) -> int:
 
 def cmd_newton(args) -> int:
     ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
+    if args.contains:  # answered first, so a bad point prints nothing
+        point = [exactnum.parse_rational(part) for part in args.contains.split(",")]
+        inside = polygeo.newton_contains(ms, point)
     print(f"alpha = {_fmt(polygeo.splitting_threshold(ms))}")
     _print_minimal_face(ms)
     if args.contains:
-        point = [Fraction(part.strip()) for part in args.contains.split(",")]
-        inside = polygeo.newton_contains(ms, point)
         print(f"contains {_point_text(point)}: {'yes' if inside else 'no'}")
     return EXIT_OK
 
@@ -114,7 +114,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_certify(args) -> int:
     fp = _reduced_input(args)
-    lam = Fraction(args.lam)
+    lam = exactnum.parse_rational(args.lam)
     ok = charp.certify_lower(fp, lam, args.e, TermBudget(args.budget))
     if ok:
         print(f"PROVED fpt >= {_fmt(lam)}")
@@ -141,6 +141,12 @@ def cmd_primes(args) -> int:
     return EXIT_OK
 
 
+_CONFIG_KEYS = (
+    "primes", "progression", "prime_range", "e_max", "budget", "csv", "json",
+    "jobs", "preserve_support",
+)
+
+
 def _load_config(path: str) -> dict:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -151,7 +157,10 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ParseError("expected key=value", lineno, 1)
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} on line {lineno}")
+            values[key] = value.strip()
     return values
 
 

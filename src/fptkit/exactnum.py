@@ -254,5 +254,9 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; accepts 'a/b' and plain integers."""
-    return Fraction(text.strip())
+    """Inverse of format_rational; accepts 'a/b' and plain integers.  Malformed
+    text and a zero denominator raise ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None

@@ -42,9 +42,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("NUMBER", text[i:j], line, col))
             col += j - i
@@ -102,7 +102,7 @@ class _Parser:
         name = tok.text
         if name in _ALIASES:
             return _ALIASES[name]
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and name[1:].isdecimal():
             idx = int(name[1:])
             if idx >= 1:
                 return idx

@@ -55,9 +55,13 @@ def support_monomials(f: FpPoly | QPoly) -> MonomialSet:
     return MonomialSet(f.num_vars, tuple(sorted(f.support())))
 
 
-def _require_support(f: FpPoly, ms: MonomialSet) -> None:
+def _support_of(f: FpPoly, ms: MonomialSet | None) -> MonomialSet:
+    """ms after checking that it is f's support, or f's support if ms is None."""
+    if ms is None:
+        return support_monomials(f)
     if f.num_vars != ms.num_vars or f.support() != set(ms.monomials):
         raise ValueError("polynomial support does not match the monomial set")
+    return ms
 
 
 def carry_criterion(ms: MonomialSet, p: int) -> CarryVerdict:
@@ -211,10 +215,7 @@ def generic_gap_test(f: FpPoly, ms: MonomialSet | None = None) -> bool:
     f^((p-1)*alpha) and proves the threshold of f equals alpha exactly.
     Zero is inconclusive (the coefficients sit on the exceptional locus).
     """
-    if ms is None:
-        ms = support_monomials(f)
-    else:
-        _require_support(f, ms)
+    ms = _support_of(f, ms)
     alpha = polygeo.splitting_threshold(ms)
     if alpha > 1:
         raise NotApplicableError(f"threshold {alpha} exceeds 1")
@@ -230,10 +231,7 @@ def generic_gap_test(f: FpPoly, ms: MonomialSet | None = None) -> bool:
 
 def restrict_to_minimal_face(f: FpPoly, ms: MonomialSet | None = None) -> FpPoly:
     """Subpolynomial supported on the minimal-face generators."""
-    if ms is None:
-        ms = support_monomials(f)
-    else:
-        _require_support(f, ms)
+    ms = _support_of(f, ms)
     analysis = polygeo.newton_analysis(ms)
     keep = {ms.monomials[i] for i in analysis.lambda_members}
     return FpPoly(f.p, f.num_vars, {k: c for k, c in f.terms.items() if k in keep})
@@ -265,10 +263,7 @@ def unique_point_coefficient(f: FpPoly, e: int, ms: MonomialSet | None = None) -
     f^(p^e |tr|), with tr the level-e truncation of eta, is a single
     multinomial times a monomial in the coefficients -- no expansion needed.
     """
-    if ms is None:
-        ms = support_monomials(f)
-    else:
-        _require_support(f, ms)
+    ms = _support_of(f, ms)
     mp = polygeo.maximal_points(ms)
     if not mp.unique:
         raise NotApplicableError("splitting polytope has no unique maximal point")
@@ -281,22 +276,28 @@ def unique_point_coefficient(f: FpPoly, e: int, ms: MonomialSet | None = None) -
     return value
 
 
-def _certificate_level(point: Sequence[Fraction], p: int) -> int | None:
+def _certificate_level(point: Sequence[Fraction], p: int) -> int:
     """Smallest e <= DEFAULT_ORDER_CAP with (p^e - 1) * point integral, via the
-    multiplicative order of p modulo the lcm of the denominators."""
+    multiplicative order of p modulo the lcm d of the denominators.  Raises
+    NotApplicableError saying why there is none: p divides d, or the order
+    of p modulo d exceeds the cap."""
     d = math.lcm(*(Fraction(x).denominator for x in point)) if point else 1
     if d == 1:
         return 1
     if math.gcd(p, d) != 1:
-        return None
-    e = 1
-    acc = p % d
-    while acc != 1:
-        e += 1
-        if e > DEFAULT_ORDER_CAP:
-            return None
+        raise NotApplicableError(
+            "no finite splitting certificate "
+            f"(p = {p} divides a denominator of the maximal point)"
+        )
+    acc = 1
+    for e in range(1, DEFAULT_ORDER_CAP + 1):
         acc = acc * p % d
-    return e
+        if acc == 1:
+            return e
+    raise NotApplicableError(
+        f"no splitting certificate at levels e <= {DEFAULT_ORDER_CAP} "
+        f"(the order of p = {p} modulo {d} exceeds {DEFAULT_ORDER_CAP})"
+    )
 
 
 CERTIFIED_EXACT = "CERTIFIED_EXACT"
@@ -334,7 +335,6 @@ def _scan_one_prime(
 ) -> ScanRow:
     geometry = polygeo.maximal_points(ms)
     alpha = geometry.threshold
-    target = min(ONE, alpha)
     try:
         fp = charp.reduce_mod_p(f, p, preserve_support=preserve_support)
     except ReductionError as ex:
@@ -344,106 +344,82 @@ def _scan_one_prime(
             prime=p, claim=REDUCTION_ERROR, error="all coefficients vanish mod p"
         )
 
-    # One budget caps the row: the bracket's sweep and any certificate
-    # replayed past the levels that sweep completed.  The bracket's notes
-    # go after the row's own.
+    # One budget caps the row: the bracket's sweep and a certificate
+    # replayed past the levels that sweep completed.
     budget = TermBudget(budget_limit)
     report = charp.bracket(fp, e_max, budget)
     nu = report.nu_values.values if report.nu_values is not None else ()
-    bracket_notes, report.notes = report.notes, []
-    exact_value: Fraction | None = None
+    notes: list[str] = []
+    exact: Fraction | None = None
     lower: Fraction | None = None
-
-    def certify(lam: Fraction, e: int, disagreement: str) -> None:
-        """Record the certificate (e, lam) once (p^e - 1) * lam <= nu(e) is
-        replayed, or note that the budget ran out first.  The caller has
-        proved the claim, so a refuted certificate is an internal error."""
-        if e <= len(nu):
-            ok = (p**e - 1) * lam <= nu[e - 1]
-        else:
-            try:
-                ok = charp.certify_lower(fp, lam, e, budget)
-            except BudgetExceededError:
-                report.budget_exhausted = True
-                report.notes.append(
-                    f"budget exhausted while replaying the level-{e} certificate"
-                )
-                return
-        if not ok:
-            raise AssertionError(disagreement)
-        report.certificates.append(Certificate(e=e, lam=lam, verified=True))
+    level: int | None = None  # of the certificate (level, exact) to confirm
 
     # the support-driven criteria speak about polynomials with the *full*
     # support; a model that dropped terms only gets direct computations
     full_support = fp.support() == set(ms.monomials)
     if not full_support:
-        report.notes.append("support changed under reduction; geometric criteria skipped")
+        notes.append("support changed under reduction; geometric criteria skipped")
     elif geometry.unique:
         verdict = carry_criterion(ms, p)
         if verdict.kind == EXACT:
-            exact_value = verdict.value
-            level = _certificate_level(geometry.point, p)
-            if level is not None:
-                certify(
-                    alpha, level, "carry criterion and splitting certificate disagree"
-                )
-            else:
-                report.notes.append(
-                    "exact by carry-free digits; no finite splitting "
-                    f"certificate (p = {p} divides a denominator of the maximal point)"
-                )
+            exact = verdict.value
+            try:
+                level = _certificate_level(geometry.point, p)
+            except NotApplicableError as ex:
+                notes.append(f"exact by carry-free digits; {ex.reason}")
         else:
             lower = verdict.value
-            report.notes.append(f"carry criterion bound with L = {verdict.L}")
+            notes.append(f"carry criterion bound with L = {verdict.L}")
     else:
-        report.notes.append("no unique maximal point")
+        notes.append("no unique maximal point")
         if alpha <= 1:
             try:
                 if generic_gap_test(fp, ms):
-                    exact_value = alpha
-                    certify(alpha, 1, "gap test and splitting certificate disagree")
+                    exact, level = alpha, 1
                 else:
-                    report.notes.append(
-                        "coefficient polynomial vanishes mod p (inconclusive)"
-                    )
+                    notes.append("coefficient polynomial vanishes mod p (inconclusive)")
             except NotApplicableError as ex:
-                report.notes.append(f"gap test not applicable: {ex.reason}")
+                notes.append(f"gap test not applicable: {ex.reason}")
 
-    # A lower bound of 1 is already exact (thresholds never exceed 1) and
-    # always certifiable at level 1.
-    if exact_value is None and lower == 1:
-        exact_value, lower = ONE, None
-        certify(ONE, 1, "lower bound 1 must be certifiable at level 1")
-
-    # When the monomial threshold exceeds 1 the polynomial threshold may
-    # still top out at 1, which holds exactly when nu(1) = p - 1.
-    if exact_value is None and alpha > 1:
-        if not nu:
-            report.notes.append("budget exhausted while testing threshold 1")
-        elif nu[0] == p - 1:
-            exact_value, lower = ONE, None
-            report.certificates.append(Certificate(e=1, lam=ONE, verified=True))
+    # Above alpha = 1 the threshold is 1 exactly when nu(1) = p - 1 (Fedder).
+    # lower == 1 implies alpha > 1: a carry at L + 1 puts sum trunc_L + p^-L below alpha.
+    if exact is None and alpha > 1:
+        if lower == 1 or (nu and nu[0] == p - 1):
+            exact, level = ONE, 1
+        elif not nu:
+            notes.append("budget exhausted while testing threshold 1")
         else:
-            report.notes.append("threshold is strictly below 1")
+            notes.append("threshold is strictly below 1")
 
-    report.notes += bracket_notes
-    if exact_value is not None:
-        report.kind = EXACT
-        report.value = exact_value
+    # Confirm the certificate off the nu table, or replay it past the table.
+    # exact is proved, so a refuted certificate is an internal error.
+    if level is not None:
+        try:
+            if level <= len(nu):
+                ok = (p**level - 1) * exact <= nu[level - 1]
+            else:
+                ok = charp.certify_lower(fp, exact, level, budget)
+        except BudgetExceededError:
+            report.budget_exhausted = True
+            notes.append(f"budget exhausted while replaying the level-{level} certificate")
+        else:
+            if not ok:
+                raise AssertionError(f"level-{level} certificate refutes {exact}")
+            report.certificates.append(Certificate(e=level, lam=exact, verified=True))
+
+    report.notes = notes + report.notes
+    if exact is not None:
+        report.kind, report.value = EXACT, exact
         claim = CERTIFIED_EXACT if report.certificates else LOWER_BOUND_ONLY
     elif lower is not None:
-        report.kind = LOWER_BOUND
-        report.value = lower
+        report.kind, report.value = LOWER_BOUND, lower
         claim = LOWER_BOUND_ONLY
         if report.bracket is not None and lower == report.bracket[1]:
             report.notes.append("lower bound meets the bracket upper end: value is exact")
     else:
         claim = BRACKET_ONLY
-
-    pinned = exact_value is not None or (
-        lower is not None and report.bracket is not None and lower == report.bracket[1]
-    )
-    witness = full_support and pinned and report.value == target
+    # a lower bound left here is below alpha and not 1, so it never witnesses
+    witness = full_support and exact == min(ONE, alpha)
     return ScanRow(prime=p, claim=claim, report=report, witness=witness)
 
 

@@ -43,6 +43,15 @@ class TestAlphaLctNewton:
         code, out, _ = run(capsys, "newton", "x", "--vars", "2")
         assert code == 0 and "diagonal position: no" in out
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [("1/0,1", "zero denominator"), ("1", "point has 1 coordinates, expected 2")],
+    )
+    def test_newton_bad_point_exit_4_prints_nothing(self, capsys, point, message):
+        code, out, err = run(capsys, "newton", "x^2, y^3", "--contains", point)
+        assert code == 4 and out == ""
+        assert message in err
+
     def test_invalid_monomials_exit_3(self, capsys):
         code, _, err = run(capsys, "alpha", "x^2, x^2")
         assert code == 3 and "duplicate" in err
@@ -92,6 +101,19 @@ class TestNuBracketCertify:
         code, out, err = run(capsys, command, "x^2+y^3", "-p", prime, "-e", "1")
         assert code == 4 and out == ""
         assert f"base must be prime, got {prime}" in err
+
+    def test_zero_denominator_lambda_exit_4(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "x^2+y^3", "-p", "7", "--lambda", "1/0", "-e", "1"
+        )
+        assert code == 4 and out == ""
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize("text", ["x^²+y", "x²+y"])
+    def test_superscript_digit_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "nu", text, "-p", "5", "-e", "1")
+        assert code == 2 and out == ""
+        assert "parse error" in err and "(line 1, column" in err
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "nu", "x^2+", "-p", "5", "-e", "1")
@@ -220,6 +242,14 @@ class TestScanCommand:
         code, out, err = run(capsys, *args)
         assert code == 4 and out == ""
         assert f"jobs must be >= 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("line", ["e-max=1", "jbos=2"])
+    def test_unknown_config_key_exit_4(self, capsys, tmp_path, line):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"primes=2,3\n{line}\n")
+        code, out, err = run(capsys, "scan", "x^2+y^3", "--config", str(cfg))
+        assert code == 4 and out == ""
+        assert f"unknown config key {line.split('=')[0]!r}" in err
 
     def test_requires_exactly_one_prime_spec(self, capsys):
         code, _, err = run(capsys, "scan", "x^2+y^3")

@@ -239,6 +239,10 @@ class TestRationalText:
         assert exactnum.format_rational(F(10, 12)) == "5/6"
         assert exactnum.format_rational(F(8, 4)) == "2"
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            exactnum.parse_rational("1/0")
+
     def test_lcm_window_consistency(self):
         # spot-check that digits really repeat with the stream's period
         s = exactnum.digit_stream(F(5, 14), 3)

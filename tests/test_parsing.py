@@ -62,6 +62,15 @@ class TestPolynomials:
         with pytest.raises(ParseError):
             parse_polynomial("1/0")
 
+    def test_superscript_digits_are_not_numbers(self):
+        # str.isdigit accepts "²" but int() does not
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("x^²+y")
+        assert err.value.line == 1 and err.value.column == 3
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("x²+y")
+        assert err.value.line == 1 and err.value.column == 1
+
     def test_multiline_position(self):
         with pytest.raises(ParseError) as err:
             parse_polynomial("x +\n !")

@@ -236,7 +236,136 @@ class TestUniquePointCoefficient:
                     assert expanded.get(target, 0) == fast
 
 
+# One row of each kind a scan can produce: the full JSON row and its
+# certificates, pinned so that a rewrite of the row logic shows any change.
+_ROW_KINDS = [
+    pytest.param(
+        "x^2+y^3", 7, 1, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 7, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "5/6",
+         "bracket_low": "5/7", "bracket_high": "6/7", "nu": [5], "witness": True},
+        [(1, "5/6")],
+        id="carry-exact-table-certificate",
+    ),
+    pytest.param(
+        "x^3", 2, 1, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 2, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "1/3",
+         "bracket_low": "0", "bracket_high": "1/2", "nu": [0], "witness": True},
+        [(2, "1/3")],
+        id="carry-exact-replayed-past-table",
+    ),
+    pytest.param(
+        "x^2", 2, 2, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 2, "claim": "LOWER_BOUND_ONLY", "kind": "EXACT", "value": "1/2",
+         "bracket_low": "1/4", "bracket_high": "1/2", "nu": [0, 1], "witness": True,
+         "notes": ["exact by carry-free digits; no finite splitting certificate "
+                   "(p = 2 divides a denominator of the maximal point)"]},
+        [],
+        id="carry-exact-p-divides-denominator",
+    ),
+    pytest.param(
+        "x^2+y^3", 5, 2, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 5, "claim": "LOWER_BOUND_ONLY", "kind": "LOWER_BOUND",
+         "value": "4/5", "bracket_low": "19/25", "bracket_high": "4/5",
+         "nu": [3, 19], "witness": False,
+         "notes": ["carry criterion bound with L = 1",
+                   "lower bound meets the bracket upper end: value is exact"]},
+        [],
+        id="carry-bound",
+    ),
+    pytest.param(
+        "x^2+x*y+y^2", 5, 2, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 5, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "1",
+         "bracket_low": "24/25", "bracket_high": "1", "nu": [4, 24],
+         "witness": True, "notes": ["no unique maximal point"]},
+        [(1, "1")],
+        id="gap-exact",
+    ),
+    pytest.param(
+        "x^2+2*x*y+y^2", 3, 2, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 3, "claim": "BRACKET_ONLY", "kind": "BRACKET",
+         "bracket_low": "4/9", "bracket_high": "5/9", "nu": [1, 4],
+         "witness": False,
+         "notes": ["no unique maximal point",
+                   "coefficient polynomial vanishes mod p (inconclusive)"]},
+        [],
+        id="gap-inconclusive",
+    ),
+    pytest.param(
+        "x+y^2", 3, 2, charp.DEFAULT_TERM_BUDGET, True,
+        {"prime": 3, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "1",
+         "bracket_low": "8/9", "bracket_high": "1", "nu": [2, 8], "witness": True,
+         "notes": ["carry criterion bound with L = 0"]},
+        [(1, "1")],
+        id="carry-bound-one",
+    ),
+    pytest.param(
+        "x+y^2", 3, 1, 1, True,
+        {"prime": 3, "claim": "LOWER_BOUND_ONLY", "kind": "EXACT", "value": "1",
+         "witness": True, "budget_exhausted": True,
+         "notes": ["carry criterion bound with L = 0",
+                   "budget exhausted while replaying the level-1 certificate",
+                   "term budget exhausted before any nu level completed"]},
+        [],
+        id="carry-bound-one-budget-exhausted",
+    ),
+    pytest.param(
+        "7*x+y", 7, 2, charp.DEFAULT_TERM_BUDGET, False,
+        {"prime": 7, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "1",
+         "bracket_low": "48/49", "bracket_high": "1", "nu": [6, 48],
+         "witness": False,
+         "notes": ["support changed under reduction; geometric criteria skipped"]},
+        [(1, "1")],
+        id="support-changed-threshold-one",
+    ),
+    pytest.param(
+        "3*x+y^2", 3, 2, charp.DEFAULT_TERM_BUDGET, False,
+        {"prime": 3, "claim": "BRACKET_ONLY", "kind": "BRACKET",
+         "bracket_low": "4/9", "bracket_high": "5/9", "nu": [1, 4],
+         "witness": False,
+         "notes": ["support changed under reduction; geometric criteria skipped",
+                   "threshold is strictly below 1"]},
+        [],
+        id="alpha-above-one-threshold-below-one",
+    ),
+    pytest.param(
+        "x^2+y^3+z^7", 127, 1, 10_000, True,
+        {"prime": 127, "claim": "LOWER_BOUND_ONLY", "kind": "EXACT",
+         "value": "41/42", "witness": True, "budget_exhausted": True,
+         "notes": ["budget exhausted while replaying the level-1 certificate",
+                   "term budget exhausted before any nu level completed"]},
+        [],
+        id="budget-exhausted-replay",
+    ),
+]
+
+
 class TestScan:
+    @pytest.mark.parametrize("text,p,e_max,budget,preserve,row,certs", _ROW_KINDS)
+    def test_row_kinds_pinned(
+        self, monkeypatch, text, p, e_max, budget, preserve, row, certs
+    ):
+        replayed = []
+        certify_lower = charp.certify_lower
+        monkeypatch.setattr(
+            charp,
+            "certify_lower",
+            lambda f, lam, e, b: replayed.append(e) or certify_lower(f, lam, e, b),
+        )
+        rows = dense_fpurity_scan(
+            parse_polynomial(text),
+            [p],
+            e_max=e_max,
+            budget_limit=budget,
+            preserve_support=preserve,
+        )
+        doc = scan_json_document(text, {}, rows)
+        assert doc["rows"] == [row]
+        assert doc["certificates"] == [
+            {"prime": p, "e": e, "lambda": lam, "verified": True} for e, lam in certs
+        ]
+        # a certificate is replayed only past the levels the nu table holds
+        assert all(e > len(row.get("nu", ())) for e in replayed)
+
     def test_line_scan_is_all_ones(self):
         rows = dense_fpurity_scan(parse_polynomial("x+y"), [2, 3, 5], e_max=2)
         for row in rows:
@@ -338,6 +467,22 @@ class TestScan:
         assert any("no finite splitting" in n for n in row.report.notes)
         # the bracket still pins the value
         assert row.bracket[1] == F(1, 2)
+
+    def test_no_certificate_note_names_its_cause(self):
+        # support {x^23}: at 23 the prime divides the denominator; at 5 it
+        # does not, but the order of 5 mod 23 is 22, past the level cap
+        rows = dense_fpurity_scan(parse_polynomial("x^23"), [5, 23], e_max=1)
+        assert [(row.claim, row.report.kind) for row in rows] == [
+            (LOWER_BOUND_ONLY, EXACT)
+        ] * 2
+        assert rows[0].report.notes == [
+            "exact by carry-free digits; no splitting certificate at levels "
+            "e <= 8 (the order of p = 5 modulo 23 exceeds 8)"
+        ]
+        assert rows[1].report.notes == [
+            "exact by carry-free digits; no finite splitting certificate "
+            "(p = 23 divides a denominator of the maximal point)"
+        ]
 
     def test_dropped_support_skips_geometric_claims(self):
         # 7x + y loses a monomial mod 7; the remaining model is handled by
