@@ -164,41 +164,60 @@ def _load_config(path: str) -> dict:
     return values
 
 
+def _integers(name: str, value: str, count: int = 0) -> list[int]:
+    """value as comma-separated integers, exactly count of them unless count
+    is 0; anything else is a ValueError naming the flag or key."""
+    try:
+        out = [int(x) for x in value.split(",")]
+    except ValueError:
+        out = []
+    if not out or count and len(out) != count:
+        raise ValueError(f"invalid {name}: {value!r}")
+    return out
+
+
 def _scan_primes(args, config: dict) -> list[int]:
-    spec_sources = [
-        ("primes", args.primes or config.get("primes")),
-        ("progression", args.progression or config.get("progression")),
-        ("prime_range", args.prime_range or config.get("prime_range")),
-    ]
-    given = [(k, v) for k, v in spec_sources if v]
+    # each prime spec's config key is also its flag's attribute name
+    sources = [(k, getattr(args, k) or config.get(k)) for k in ("primes", "progression", "prime_range")]
+    given = [(k, v) for k, v in sources if v]
     if len(given) != 1:
         raise ValueError(
             "exactly one of --primes, --progression, --prime-range is required"
         )
     kind, value = given[0]
+    name = "--" + kind.replace("_", "-") if getattr(args, kind) else kind
     if kind == "primes":
-        ps = [int(p) for p in value.split(",")]
+        ps = _integers(name, value)
         bad = [p for p in ps if not exactnum.is_prime(p)]
         if bad:
             raise ValueError(f"not prime: {bad}")
         return ps
     if kind == "progression":
-        d, count = (int(x) for x in value.split(","))
+        d, count = _integers(name, value, 2)
         return exactnum.primes_in_progression(d, count)
-    lo, hi = (int(x) for x in value.split(","))
+    lo, hi = _integers(name, value, 2)
     return [p for p in range(max(lo, 2), hi + 1) if exactnum.is_prime(p)]
+
+
+def _setting(flag_value: int | None, config: dict, key: str, default: int) -> int:
+    if flag_value is None and key in config:
+        return _integers(key, config[key], 1)[0]
+    return default if flag_value is None else flag_value
 
 
 def cmd_scan(args) -> int:
     config = _load_config(args.config) if args.config else {}
-    e_max = args.e_max if args.e_max is not None else int(config.get("e_max", 3))
-    budget = args.budget if args.budget is not None else int(config.get("budget", charp.DEFAULT_TERM_BUDGET))
-    jobs = args.jobs if args.jobs is not None else int(config.get("jobs", 1))
+    e_max = _setting(args.e_max, config, "e_max", 3)
+    budget = _setting(args.budget, config, "budget", charp.DEFAULT_TERM_BUDGET)
+    jobs = _setting(args.jobs, config, "jobs", 1)
     csv_path = args.csv or config.get("csv")
     json_path = args.json or config.get("json")
-    preserve = not args.drop_support
-    if "preserve_support" in config and not args.drop_support:
-        preserve = config["preserve_support"].lower() not in ("false", "0", "no")
+    keep = config.get("preserve_support", "true").lower()
+    if keep not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(
+            f"preserve_support must be true/false/yes/no/1/0, got {config['preserve_support']!r}"
+        )
+    preserve = not args.drop_support and keep in ("true", "yes", "1")
     if e_max < 1:
         raise ValueError(f"e_max must be >= 1, got {e_max}")
     if budget < 10**4:

@@ -65,6 +65,48 @@ class MonomialSet:
             tuple(v[i] for v in self.monomials) for i in range(self.num_vars)
         )
 
+    @functools.cached_property
+    def geometry(self) -> tuple[MaximalPointResult, NewtonAnalysis]:
+        """Maximal points and minimal face, read off the optimal face
+        F = {s in P : |s| = alpha} of one splitting LP solve kept here.  F
+        lies in [0,1]^n, so it is one point iff max s_i = min s_i on F, all i.
+
+        The dual optima of  max |s|  subject to  E s <= 1, s >= 0  are the
+        y >= 0 with E^T y >= 1 and |y| = alpha, i.e. y.a_i >= 1 = y.v for
+        v = (1/alpha)*(1,...,1): exactly the supporting hyperplanes of N at
+        v.  The minimal face is N cut by such a hyperplane y* from the
+        relative interior of the dual optima, and by strict complementarity
+        (Goldman-Tucker) some maximal point s* pairs with y*: s*_i > 0 iff
+        y*.a_i = 1, and (E s*)_k < 1 iff y*_k = 0.  So
+
+        * a_i lies on the minimal face iff s_i > 0 at some maximal point,
+          i.e. max s_i over F is positive;
+        * e_k lies in the face's recession cone (y*_k = 0) iff row k has
+          slack at some maximal point; the face is bounded -- diagonal
+          position -- iff min (E s)_k over F is 1 for every k.
+        """
+        alpha, face = ratlp.optimal_face(splitting_polytope(self))
+        n = self.num_monomials
+        units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
+        highest = [ratlp.maximize_over_face(face, u).value for u in units]
+        unique = all(
+            ratlp.maximize_over_face(face, [-x for x in u]).value == -hi
+            for u, hi in zip(units, highest)
+        )
+        members = tuple(j for j in range(n) if highest[j] > 0)
+        diagonal = all(
+            ratlp.maximize_over_face(face, [-a for a in row]).value == -1
+            for row in self.exponent_matrix
+        )
+        if not members and diagonal:
+            raise AssertionError(
+                "internal inconsistency: empty minimal face cannot be bounded"
+            )
+        return (
+            MaximalPointResult(alpha, unique, tuple(highest) if unique else None),
+            NewtonAnalysis(alpha, members, len(members), diagonal),
+        )
+
 
 @dataclass(frozen=True)
 class MaximalPointResult:
@@ -81,23 +123,6 @@ class NewtonAnalysis:
     diagonal_position: bool
 
 
-def _once_per_support(solve):
-    """Solve a support's geometry once per MonomialSet object: the result is
-    kept in the instance's __dict__ (a frozen dataclass still has one).  The
-    scan fills it before its workers start; two calls that race on a cold
-    support both store the same value."""
-    name = solve.__name__
-
-    @functools.wraps(solve)
-    def kept(ms: MonomialSet):
-        memo = ms.__dict__
-        if name not in memo:
-            memo[name] = solve(ms)
-        return memo[name]
-
-    return kept
-
-
 def splitting_polytope(ms: MonomialSet) -> LinearProgram:
     """H-representation of P = {s >= 0 : E s <= 1} with the coordinate-sum
     objective attached (the objective every caller here maximizes)."""
@@ -108,12 +133,9 @@ def splitting_polytope(ms: MonomialSet) -> LinearProgram:
     )
 
 
-@_once_per_support
 def splitting_threshold(ms: MonomialSet) -> Fraction:
     """Maximal coordinate sum over the splitting polytope (simplex route)."""
-    out = ratlp.maximize(splitting_polytope(ms))
-    assert out.status == OPTIMAL  # P is nonempty and sits inside [0,1]^n
-    return out.value
+    return ms.geometry[0].threshold
 
 
 def lattice_points(
@@ -158,12 +180,9 @@ def lattice_points(
     yield from rec(0, list(bound), total, ())
 
 
-@_once_per_support
 def maximal_points(ms: MonomialSet) -> MaximalPointResult:
     """Threshold plus uniqueness of the coordinate-sum maximizer over P."""
-    alpha = splitting_threshold(ms)
-    point = ratlp._face_point(splitting_polytope(ms), alpha)
-    return MaximalPointResult(threshold=alpha, unique=point is not None, point=point)
+    return ms.geometry[0]
 
 
 def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
@@ -237,42 +256,7 @@ def newton_threshold(ms: MonomialSet) -> Fraction:
     return best
 
 
-@_once_per_support
 def newton_analysis(ms: MonomialSet) -> NewtonAnalysis:
-    """Minimal face of N at v = (1/alpha)*(1,...,1), read off the optimal
-    face of the splitting LP, F = {s in P : |s| = alpha}.
-
-    The dual optima of  max |s|  subject to  E s <= 1, s >= 0  are the
-    y >= 0 with E^T y >= 1 and |y| = alpha, i.e. y.a_i >= 1 = y.v: exactly
-    the supporting hyperplanes of N at v.  The minimal face is N cut by
-    such a hyperplane y* from the relative interior of the dual optima, and
-    by strict complementarity (Goldman-Tucker) some maximal point s* pairs
-    with y*: s*_i > 0 iff y*.a_i = 1, and (E s*)_k < 1 iff y*_k = 0.  So
-
-    * a_i lies on the minimal face iff s_i > 0 at some maximal point, i.e.
-      max s_i over F is positive;
-    * e_k lies in the face's recession cone (y*_k = 0) iff row k has slack
-      at some maximal point; the face is bounded -- diagonal position -- iff
-      min (E s)_k over F is 1 for every k.
-    """
-    alpha = splitting_threshold(ms)
-    lp = splitting_polytope(ms)
-    n = ms.num_monomials
-
-    def face_max(objective: Sequence[Fraction]) -> Fraction:
-        return ratlp.maximize_over_optimal_face(lp, alpha, objective).value
-
-    members = tuple(
-        j for j in range(n) if face_max([ONE if i == j else ZERO for i in range(n)]) > 0
-    )
-    diagonal = all(face_max([-a for a in row]) == -1 for row in ms.exponent_matrix)
-    if not members and diagonal:
-        raise AssertionError(
-            "internal inconsistency: empty minimal face cannot be bounded"
-        )
-    return NewtonAnalysis(
-        threshold=alpha,
-        lambda_members=members,
-        r=len(members),
-        diagonal_position=diagonal,
-    )
+    """Minimal face of N at v = (1/alpha)*(1,...,1) and whether it is bounded
+    (diagonal position); see MonomialSet.geometry."""
+    return ms.geometry[1]

@@ -174,7 +174,8 @@ class _Tableau:
             self.allowed[j] = False
         return True
 
-    def load_objective(self, objective: Sequence[Fraction]) -> None:
+    def maximize(self, objective: Sequence[Fraction]) -> LpOutcome:
+        """max objective.x, run from the current (feasible) basis."""
         c = list(objective) + [ZERO] * (self.num_cols - self.n)
         zrow = list(c)
         zval = ZERO
@@ -186,6 +187,9 @@ class _Tableau:
                 zrow = [z - ck * a for z, a in zip(zrow, row)]
         self.zrow = zrow
         self.zval = zval
+        if self.run() == UNBOUNDED:
+            return LpOutcome(status=UNBOUNDED)
+        return LpOutcome(status=OPTIMAL, value=self.zval, witness=self.solution())
 
     def solution(self) -> tuple[Fraction, ...]:
         x = [ZERO] * self.num_cols
@@ -200,13 +204,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
     The witness is always a basic feasible solution (vertex).
     """
     t = _Tableau(lp)
-    if not t.phase_one():
-        return LpOutcome(status=INFEASIBLE)
-    t.load_objective(lp.objective)
-    status = t.run()
-    if status == UNBOUNDED:
-        return LpOutcome(status=UNBOUNDED)
-    return LpOutcome(status=OPTIMAL, value=t.zval, witness=t.solution())
+    return t.maximize(lp.objective) if t.phase_one() else LpOutcome(status=INFEASIBLE)
 
 
 def feasible(
@@ -240,46 +238,44 @@ def feasible(
     return maximize(probe)
 
 
-def maximize_over_optimal_face(
-    lp: LinearProgram, optimum: Fraction, objective: Sequence[Fraction]
-) -> LpOutcome:
-    """Exact max objective.x over the optimal face of lp,
-    {x >= 0 : Ax <= b, c.x = optimum}, given lp's optimal value.
+def optimal_face(lp: LinearProgram) -> tuple[Fraction, _Tableau]:
+    """lp's optimal value and optimal face {x >= 0 : Ax <= b, c.x = value},
+    kept as lp's optimal tableau (ValueError unless lp is OPTIMAL).  Each
+    maximize_over_face moves it to another basis: do not share it.
 
-    c.x <= optimum already holds on the whole feasible set, so the face is
-    cut out by the one extra row  -c.x <= -optimum.
+    At an optimal tableau  c.x = value + sum_j d_j x_j  for every x that
+    satisfies the tableau's equations, and every reduced cost d_j <= 0.  So
+    a feasible x is optimal iff x_j = 0 wherever d_j < 0: with those columns
+    barred from entering, the tableau's feasible set is the optimal face.
     """
-    return maximize(
-        LinearProgram(
-            objective=objective,
-            constraint_matrix=lp.constraint_matrix + (tuple(-c for c in lp.objective),),
-            rhs=lp.rhs + (-optimum,),
-        )
-    )
+    face = _Tableau(lp)
+    out = face.maximize(lp.objective) if face.phase_one() else LpOutcome(status=INFEASIBLE)
+    if out.status != OPTIMAL:
+        raise ValueError(f"optimal_face requires an OPTIMAL LP, got {out.status}")
+    face.allowed = [ok and d == 0 for ok, d in zip(face.allowed, face.zrow)]
+    return out.value, face
 
 
-def _face_point(lp: LinearProgram, optimum: Fraction) -> tuple[Fraction, ...] | None:
-    """The single point of lp's optimal face, or None when the face holds
-    more than one point: each x_j is maximized and minimized over the face,
-    and the face is a point iff every range collapses."""
-    n = lp.num_vars
-    point: list[Fraction] = []
-    for j in range(n):
-        unit = [ZERO] * n
-        unit[j] = ONE
-        hi = maximize_over_optimal_face(lp, optimum, unit)
-        lo = maximize_over_optimal_face(lp, optimum, [-x for x in unit])
-        if hi.status != OPTIMAL or lo.status != OPTIMAL or hi.value != -lo.value:
-            # unbounded or not a single value along the optimal face
-            return None
-        point.append(hi.value)
-    return tuple(point)
+def maximize_over_face(face: _Tableau, objective: Sequence[Fraction]) -> LpOutcome:
+    """Exact max objective.x over a face from optimal_face, run from its
+    current basis with no new phase one; UNBOUNDED when the face is."""
+    return face.maximize(objective)
 
 
 def optimum_is_unique(lp: LinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Whether the optimal face of lp is a single point, and that point."""
-    base = maximize(lp)
-    if base.status != OPTIMAL:
-        raise ValueError(f"optimum_is_unique requires an OPTIMAL LP, got {base.status}")
-    point = _face_point(lp, base.value)
-    return point is not None, point
+    """Whether the optimal face of lp is a single point, and that point: each
+    x_j is maximized and minimized over the face, and the face is a point
+    iff every range collapses.  (A column of zero reduced cost may still
+    only enter by a degenerate pivot that leaves x where it is.)"""
+    _, face = optimal_face(lp)
+    n = lp.num_vars
+    point: list[Fraction] = []
+    for j in range(n):
+        unit = [ONE if i == j else ZERO for i in range(n)]
+        hi = maximize_over_face(face, unit)
+        lo = maximize_over_face(face, [-x for x in unit])
+        if hi.status != OPTIMAL or lo.status != OPTIMAL or hi.value != -lo.value:
+            # unbounded or not a single value along the optimal face
+            return False, None
+        point.append(hi.value)
+    return True, tuple(point)

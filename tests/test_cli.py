@@ -251,6 +251,54 @@ class TestScanCommand:
         assert code == 4 and out == ""
         assert f"unknown config key {line.split('=')[0]!r}" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("e_max", "abc"),
+            ("budget", "1e6"),
+            ("jobs", "2.5"),
+            ("primes", "2,x"),
+            ("progression", "6"),
+            ("prime_range", "2,50,7"),
+            ("--primes", "2,,3"),
+            ("--progression", "6,a"),
+            ("--prime-range", "50"),
+        ],
+    )
+    def test_non_integer_setting_names_its_key(self, capsys, tmp_path, key, value):
+        args = ["scan", "x^2+y^3"]
+        if key.startswith("--"):
+            args += [key, value]
+        else:
+            cfg = tmp_path / "scan.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            args += ["--config", str(cfg)]
+            if key in ("e_max", "budget", "jobs"):
+                args += ["--primes", "2,3"]
+        code, out, err = run(capsys, *args)
+        assert code == 4 and out == ""
+        assert f"invalid {key}: {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "value, kept",
+        [("true", True), ("Yes", True), ("1", True), ("FALSE", False), ("no", False), ("0", False)],
+    )
+    def test_preserve_support_values(self, capsys, tmp_path, value, kept):
+        # 7*x vanishes mod 7: keeping the support makes the row a reduction error
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"primes=7\ne_max=1\npreserve_support={value}\n")
+        code, out, _ = run(capsys, "scan", "7*x+y", "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[1].startswith("7,REDUCTION_ERROR") == kept
+
+    @pytest.mark.parametrize("value", ["flase", "on", ""])
+    def test_bad_preserve_support_exit_4(self, capsys, tmp_path, value):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(f"primes=7\ne_max=1\npreserve_support={value}\n")
+        code, out, err = run(capsys, "scan", "7*x+y", "--config", str(cfg))
+        assert code == 4 and out == ""
+        assert "preserve_support" in err and repr(value) in err
+
     def test_requires_exactly_one_prime_spec(self, capsys):
         code, _, err = run(capsys, "scan", "x^2+y^3")
         assert code == 4 and "exactly one" in err

@@ -219,17 +219,25 @@ class TestNewtonAnalysis:
 
     def test_geometry_solved_once_per_support(self, monkeypatch):
         s = ms((2, 0), (0, 2), (1, 1), (3, 1))
-        solves = []
-        maximize = ratlp.maximize
-        monkeypatch.setattr(ratlp, "maximize", lambda lp: solves.append(lp) or maximize(lp))
-        polygeo.maximal_points(s)
-        polygeo.newton_analysis(s)
-        assert solves.count(polygeo.splitting_polytope(s)) == 1
-        first = len(solves)
-        polygeo.splitting_threshold(s)
-        polygeo.maximal_points(s)
-        polygeo.newton_analysis(s)
-        assert len(solves) == first
+        polytope = polygeo.splitting_polytope(s)
+        solves, phase_ones, programs = [], [], []
+        optimal_face = ratlp.optimal_face
+        monkeypatch.setattr(ratlp, "optimal_face", lambda lp: solves.append(lp) or optimal_face(lp))
+        phase_one = ratlp._Tableau.phase_one
+        monkeypatch.setattr(
+            ratlp._Tableau, "phase_one", lambda t: phase_ones.append(t) or phase_one(t)
+        )
+        post_init = ratlp.LinearProgram.__post_init__
+        monkeypatch.setattr(
+            ratlp.LinearProgram, "__post_init__", lambda lp: programs.append(lp) or post_init(lp)
+        )
+        for _ in range(2):
+            polygeo.splitting_threshold(s)
+            polygeo.maximal_points(s)
+            polygeo.newton_analysis(s)
+        # one solve and one phase one; no face question builds an LP
+        assert solves == programs == [polytope]
+        assert len(phase_ones) == 1
 
     def test_maximal_point_structure_in_diagonal_position(self):
         # unique maximizer in diagonal position: zero off the face, E.eta = 1

@@ -87,6 +87,12 @@ class TestUniqueness:
         unique, point = ratlp.optimum_is_unique(lp([1, 0], [[1, 0], [0, 1]], [1, 0]))
         assert unique and point == (F(1), F(0))
 
+    def test_unique_behind_degenerate_slack(self):
+        # at the optimum x = 1 the slack of x + y <= 1 is basic at zero, so y
+        # has reduced cost 0 yet can only enter by a degenerate pivot
+        unique, point = ratlp.optimum_is_unique(lp([1, 0], [[1, 0], [1, 1]], [1, 1]))
+        assert unique and point == (F(1), F(0))
+
     def test_requires_optimal(self):
         with pytest.raises(ValueError):
             ratlp.optimum_is_unique(lp([1], [[-1]], [1]))
@@ -115,18 +121,24 @@ class TestOptimalFace:
                 continue
             checked += 1
             d = [rng.randint(-3, 3) for _ in c]
-            out = ratlp.maximize_over_optimal_face(lp(c, rows, b), value, d)
+            optimum, face = ratlp.optimal_face(lp(c, rows, b))
+            assert optimum == value
             recedes = [
                 j
                 for j in range(len(c))
                 if c[j] == 0 and all(row[j] == 0 for row in rows)
             ]
-            if any(d[j] > 0 for j in recedes):
-                assert out.status == UNBOUNDED
-                continue
-            face = [x for x in vertices if sum(F(cj) * xj for cj, xj in zip(c, x)) == value]
-            assert out.status == OPTIMAL
-            assert out.value == max(sum(F(dj) * xj for dj, xj in zip(d, x)) for x in face)
+            optimal = [x for x in vertices if sum(F(cj) * xj for cj, xj in zip(c, x)) == value]
+            # the second question starts from the basis the first ended on
+            for objective in (d, [-dj for dj in d]):
+                out = ratlp.maximize_over_face(face, objective)
+                if any(objective[j] > 0 for j in recedes):
+                    assert out.status == UNBOUNDED
+                    continue
+                assert out.status == OPTIMAL
+                assert out.value == max(
+                    sum(F(dj) * xj for dj, xj in zip(objective, x)) for x in optimal
+                )
 
 
 class TestAgainstVertexOracle:

@@ -534,8 +534,8 @@ class TestScan:
 
     def test_solves_do_not_grow_with_primes(self, monkeypatch):
         solves = []
-        maximize = ratlp.maximize
-        monkeypatch.setattr(ratlp, "maximize", lambda lp: solves.append(lp) or maximize(lp))
+        optimal_face = ratlp.optimal_face
+        monkeypatch.setattr(ratlp, "optimal_face", lambda lp: solves.append(lp) or optimal_face(lp))
         f = parse_polynomial("x^2+x*y+y^2")
         counts = []
         for top in (30, 120):
