@@ -2,15 +2,12 @@
 
 The reduction everything leans on: a monomial lies in the e-th Frobenius
 power of the maximal ideal iff some exponent reaches p**e, so reducing a
-polynomial modulo that ideal just drops such terms.  Because the ideal is
-closed under multiplication, powers can be reduced after every single
-multiply, which keeps intermediate supports inside [0, p**e)^m.
+polynomial modulo that ideal just drops such terms.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -25,8 +22,8 @@ DEFAULT_TERM_BUDGET = 5_000_000
 class TermBudget:
     """Monotone term counter shared by the expansion routines.
 
-    charge() is thread-safe; exhaustion raises instead of truncating, so a
-    runaway expansion can never silently produce a wrong answer.
+    Exhaustion raises instead of truncating, so a runaway expansion can
+    never silently produce a wrong answer.
     """
 
     def __init__(self, limit: int = DEFAULT_TERM_BUDGET):
@@ -34,15 +31,11 @@ class TermBudget:
             raise ValueError(f"budget must be positive, got {limit}")
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def charge(self, amount: int) -> None:
-        with self._lock:
-            self.used += amount
-            if self.used > self.limit:
-                raise BudgetExceededError(
-                    f"term budget exhausted ({self.used} > {self.limit})"
-                )
+        self.used += amount
+        if self.used > self.limit:
+            raise BudgetExceededError(f"term budget exhausted ({self.used} > {self.limit})")
 
 
 class FpPoly:
@@ -78,38 +71,30 @@ class FpPoly:
         return self.terms.get((0,) * self.num_vars, 0)
 
     def multiply(self, other: "FpPoly", budget: TermBudget | None = None) -> "FpPoly":
+        """self * other, charged to budget with the length of the product as
+        built, zero coefficients included; a product that would pass what is
+        left of the budget stops after the row that passes it, and the charge raises."""
         if self.p != other.p or self.num_vars != other.num_vars:
             raise ValueError("cannot multiply polynomials over different rings")
-        p = self.p
-        out: dict[tuple[int, ...], int] = {}
+        a, b = self, other  # the nu engine's operands come packed, at one width
+        if not isinstance(self, _Packed):
+            top = max((x for g in (self, other) for k in g.terms for x in k), default=0)
+            a, b = _Packed(self, top.bit_length() + 2), _Packed(other, top.bit_length() + 2)
+        p, row, out = self.p, list(b.terms.items()), {}
         get = out.get
         room = math.inf if budget is None else budget.limit - budget.used
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+        for k1, c1 in a.terms.items():
+            for k2, c2 in row:
+                k = k1 + k2
                 out[k] = (get(k, 0) + c1 * c2) % p
             if len(out) > room:
-                break  # the charge below raises: build no more of the product
+                break
         if budget is not None:
             budget.charge(len(out))
-        result = FpPoly.__new__(FpPoly)
-        result.p = p
-        result.num_vars = self.num_vars
-        result.terms = {k: c for k, c in out.items() if c}
-        return result
+        result = _Packed(a, a.width, {k: c for k, c in out.items() if c})
+        return result if a is self else result.unpacked()
 
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        return self.multiply(other)
-
-    def frobenius(self) -> "FpPoly":
-        # (sum c x^k)^p = sum c^p x^(pk) = sum c x^(pk) over F_p
-        result = FpPoly.__new__(FpPoly)
-        result.p = self.p
-        result.num_vars = self.num_vars
-        result.terms = {
-            tuple(a * self.p for a in k): c for k, c in self.terms.items()
-        }
-        return result
+    __mul__ = multiply
 
     def __eq__(self, other) -> bool:
         return (
@@ -124,6 +109,24 @@ class FpPoly:
 
     def __repr__(self) -> str:
         return f"FpPoly(p={self.p}, num_vars={self.num_vars}, terms={self.terms!r})"
+
+
+class _Packed(FpPoly):
+    """FpPoly with each exponent vector packed into one int, `width` bits per
+    variable, every field below 2^(width-1): adding keys adds exponents, and a
+    field is >= q <= 2^(width-1) iff adding 2^(width-1) - q sets its top bit."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, f: FpPoly, width: int, terms: dict[int, int] | None = None):
+        if terms is None:  # f's own terms, packed; else the given ones, over f's ring
+            terms = {sum(a << i * width for i, a in enumerate(k)): c for k, c in f.terms.items()}
+        self.p, self.num_vars, self.width, self.terms = f.p, f.num_vars, width, terms
+
+    def unpacked(self) -> FpPoly:
+        mask, fields = (1 << self.width) - 1, range(0, self.num_vars * self.width, self.width)
+        terms = {tuple(k >> i & mask for i in fields): c for k, c in self.terms.items()}
+        return FpPoly(self.p, self.num_vars, terms)
 
 
 class QPoly:
@@ -188,11 +191,11 @@ def frobenius_reduce(g: FpPoly, e: int) -> FpPoly:
     if e < 1:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     q = g.p**e
-    result = FpPoly.__new__(FpPoly)
-    result.p = g.p
-    result.num_vars = g.num_vars
-    result.terms = {k: c for k, c in g.terms.items() if all(a < q for a in k)}
-    return result
+    if isinstance(g, _Packed):
+        ones = ((1 << g.num_vars * g.width) - 1) // ((1 << g.width) - 1)  # a 1 in each field
+        off, high = ones * ((1 << g.width - 1) - q), ones << g.width - 1
+        return _Packed(g, g.width, {k: c for k, c in g.terms.items() if not (k + off) & high})
+    return FpPoly(g.p, g.num_vars, {k: c for k, c in g.terms.items() if all(a < q for a in k)})
 
 
 def _check_nu_input(f: FpPoly) -> None:
@@ -203,16 +206,13 @@ def _check_nu_input(f: FpPoly) -> None:
 
 
 def nu(f: FpPoly, e: int, budget: TermBudget | None = None) -> int:
-    """Largest a with f^a outside the e-th Frobenius power of (x_1,...,x_m).
-
-    The last value of the level sweep in _nu_levels.
-    """
+    """Largest a with f^a outside the e-th Frobenius power of (x_1,...,x_m)."""
     _check_nu_input(f)
     if e < 1:
         raise ValueError(f"level must be >= 1, got {e}")
     if budget is None:
         budget = TermBudget()
-    return _top_level(f, e, budget)
+    return tuple(_nu_levels(f, e, budget))[-1]
 
 
 @dataclass(frozen=True)
@@ -240,20 +240,26 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
     characteristic p and send the level-e Frobenius ideal into the
     level-(e+1) one).  Since p*nu(e) <= nu(e+1), the jump never skips the
     answer; it only skips exponents already known to stay outside the ideal.
+    Once nu(1) = p - 1 the threshold is 1 (Fedder), so nu(e) = p^e - 1 at
+    every later level (Blickle-Mustata-Smith), yielded without expanding.
+
+    It runs on _Packed polynomials whose fields hold p^e_max - 1 plus the
+    largest exponent of f, since each multiply is by the full, unreduced f.
 
     With stop, the last level quits once its exponent reaches stop, so its
     value is no longer nu(e_max), but it reaches stop exactly when nu(e_max)
     does.
     """
     p = f.p
+    f = _Packed(f, (p**e_max - 1 + max(a for k in f.terms for a in k)).bit_length() + 1)
     best = 0  # while best > 0, r holds f^best reduced at the last level
     for e in range(1, e_max + 1):
-        limit = p**e - 1
-        if stop is not None and e == e_max:
-            limit = min(limit, stop)
-        if best:
-            # nonzero: r has exponents < p^(e-1), so the twist stays < p^e unreduced
-            best, r = p * best, r.frobenius()
+        q = p**e
+        limit = q - 1 if stop is None or e < e_max else min(q - 1, stop)
+        if e > 1 and best == q // p - 1:  # nu(e-1) = p^(e-1) - 1, so fpt = 1
+            best = limit
+        elif best:  # fields of r are < p^(e-1), so times p they stay < p^e
+            best, r = p * best, _Packed(r, r.width, {k * p: c for k, c in r.terms.items()})
         else:
             r = frobenius_reduce(f, e)
             best = 0 if r.is_zero() else 1
@@ -263,13 +269,6 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
                 break
             r, best = nxt, best + 1
         yield best
-
-
-def _top_level(f: FpPoly, e: int, budget: TermBudget, stop: int | None = None) -> int:
-    """The last value _nu_levels yields."""
-    for value in _nu_levels(f, e, budget, stop):
-        pass
-    return value
 
 
 def nu_table(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> NuTable:
@@ -309,7 +308,7 @@ def certify_lower(
         return True
     if budget is None:
         budget = TermBudget()
-    return _top_level(f, e, budget, stop=t) >= t
+    return tuple(_nu_levels(f, e, budget, stop=t))[-1] >= t
 
 
 def fpt_is_one(f: FpPoly, budget: TermBudget | None = None) -> bool:

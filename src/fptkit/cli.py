@@ -196,7 +196,7 @@ def _scan_primes(args, config: dict) -> list[int]:
         d, count = _integers(name, value, 2)
         return exactnum.primes_in_progression(d, count)
     lo, hi = _integers(name, value, 2)
-    return [p for p in range(max(lo, 2), hi + 1) if exactnum.is_prime(p)]
+    return exactnum.primes_in_range(lo, hi)
 
 
 def _setting(flag_value: int | None, config: dict, key: str, default: int) -> int:

@@ -22,21 +22,61 @@ ONE = Fraction(1)
 
 PRIME_SEARCH_CEILING = 10**6
 
+# Miller-Rabin with the first 12 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+PRIMALITY_LIMIT = 318_665_857_834_031_151_167_461
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Most integers a prime range may hold; a wider range is refused before any
+# work, since a scan spends at least milliseconds on each of its primes.
+PRIME_RANGE_WIDTH = 10**6
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for desk scale)."""
+    """Deterministic primality test: trial division by the 12 witnesses,
+    then strong probable-prime tests to all of them.
+
+    Exact below PRIMALITY_LIMIT; a larger n without a witness as a factor
+    raises ValueError instead of getting a probabilistic answer.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n < 41 * 41:  # no prime factor up to 37, so none up to its square root
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(
+            f"primality is decided exactly only below {PRIMALITY_LIMIT}, got {n}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """The primes p with lo <= p <= hi, in increasing order.
+
+    A range of more than PRIME_RANGE_WIDTH integers raises ValueError
+    before any work.
+    """
+    if hi - lo + 1 > PRIME_RANGE_WIDTH:
+        raise ValueError(
+            f"prime range {lo},{hi} holds more than {PRIME_RANGE_WIDTH} integers"
+        )
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
 
 
 def _check_prime(p: int) -> None:

@@ -220,6 +220,143 @@ class TestTermCharges:
         assert 100 < budget.used <= 100 + 3
 
 
+class TestMultiply:
+    def test_against_product_oracle(self):
+        # exponents up to 2^b - 1 fill every bit of a field but the carry bit
+        rng = random.Random(83)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7, 31])
+            n = rng.randint(0, 4)
+            top = 2 ** rng.randint(0, 6) - 1
+            a, b = (
+                FpPoly(p, n, {
+                    tuple(rng.randint(0, top) for _ in range(n)): rng.randint(1, p - 1)
+                    for _ in range(rng.randint(0, 5))
+                })
+                for _ in range(2)
+            )
+            budget = TermBudget()
+            product = a.multiply(b, budget)
+            assert product.terms == oracles.poly_mul(a.terms, b.terms, p), (a, b)
+            assert product == a * b
+            # the charge counts every key built, zero coefficients included
+            keys = {tuple(map(sum, zip(k1, k2))) for k1 in a.terms for k2 in b.terms}
+            assert budget.used == len(keys)
+
+    def test_engine_charges_only_through_multiply(self, monkeypatch):
+        # the nu sweep multiplies with FpPoly.multiply and reduces with
+        # frobenius_reduce, so whatever wraps them sees every product
+        calls = {"multiply": 0, "charged": 0, "reduce": 0}
+        multiply, reduce = FpPoly.multiply, charp.frobenius_reduce
+
+        def counted_multiply(self, other, budget=None):
+            before = budget.used
+            result = multiply(self, other, budget)
+            calls["multiply"] += 1
+            calls["charged"] += budget.used - before
+            return result
+
+        def counted_reduce(g, e):
+            calls["reduce"] += 1
+            return reduce(g, e)
+
+        monkeypatch.setattr(FpPoly, "multiply", counted_multiply)
+        monkeypatch.setattr(charp, "frobenius_reduce", counted_reduce)
+        budget = TermBudget()
+        assert charp.nu_table(BINARY41, 2, budget).values == (26, 1106)
+        assert calls["multiply"] > 0 and calls["reduce"] > calls["multiply"]
+        assert calls["charged"] == budget.used == 90976
+
+
+class TestPackedEngine:
+    # the packed sweep (nu_table, certify_lower) against full expansion, on
+    # 1-3 variables with exponents up to 2p, so that a field must hold a
+    # product exponent past the level-e box
+    LEVELS = [(2, 3), (3, 3), (5, 2), (7, 2)]
+
+    def test_nu_table_against_expansion_oracle(self):
+        rng = random.Random(71)
+        past_p = 0
+        for p, top in self.LEVELS:
+            for _ in range(8):
+                f = random_fp_poly(rng, p, rng.randint(1, 3), max_exp=2 * p)
+                past_p += any(a >= p for k in f.terms for a in k)
+                e_max = rng.randint(1, top)
+                levels = range(1, e_max + 1)
+                expected = oracles.nu_expansion_oracle(f.terms, p, levels, f.num_vars)
+                table = charp.nu_table(f, e_max)
+                assert table.values == tuple(expected[e] for e in levels), f
+        assert past_p >= 10
+
+    def test_certify_lower_against_expansion_oracle(self):
+        # stop values below, at and above nu(e), up to p^e - 1
+        rng = random.Random(73)
+        for p, e_max in self.LEVELS:
+            for _ in range(6):
+                f = random_fp_poly(rng, p, rng.randint(1, 3), max_exp=2 * p)
+                e = rng.randint(1, e_max)
+                q = p**e
+                v = oracles.nu_expansion_oracle(f.terms, p, [e], f.num_vars)[e]
+                stops = {1, v - 1, v, v + 1, rng.randint(1, q - 1), q - 1}
+                for t in sorted(t for t in stops if 0 < t < q):
+                    assert charp.certify_lower(f, F(t, q - 1), e) is (t <= v), (f, e, t)
+
+    @pytest.mark.parametrize(
+        "p,text,e_max",
+        [(2, "x+y^3", 3), (3, "x+y^2", 3), (5, "x+y^2", 3), (7, "x^3+y^3+z^3", 2)],
+    )
+    def test_threshold_one_shortcut_against_full_expansion(self, p, text, e_max):
+        # nu(1) = p - 1 yields p^e - 1 at every later level and charges no
+        # terms past level 1; full expansion agrees level by level
+        f = fp(p, text)
+        levels = range(1, e_max + 1)
+        expected = oracles.nu_expansion_oracle(f.terms, p, levels, f.num_vars)
+        assert tuple(expected[e] for e in levels) == tuple(p**e - 1 for e in levels)
+        level_one, budget = TermBudget(), TermBudget()
+        charp.nu(f, 1, level_one)
+        assert charp.nu_table(f, e_max, budget).values == tuple(p**e - 1 for e in levels)
+        assert budget.used == level_one.used
+        q = p**e_max
+        for t in (1, p, q - p - 1, q - p, q - 1):
+            power = oracles.poly_pow(f.terms, t, p, f.num_vars)
+            assert any(all(a < q for a in k) for k in power)
+            assert charp.certify_lower(f, F(t, q - 1), e_max) is True
+
+
+BINARY41 = fp(41, "x^3+3*x^2*y+2*x*y^2+5*y^3+x^4+2*x^3*y+7*x^2*y^2+x*y^3+4*y^4")
+QUADRIC7 = fp(7, "x+2*y+3*z+x^2+4*y^2+2*z^2+5*x*y+y*z+3*x*z")
+
+
+class TestEngineCharges:
+    # budget.used of the packed engine: the length of every unreduced
+    # product, as FpPoly.multiply charges it, and no terms past an
+    # nu(1) = p - 1 level
+    def test_binary_form(self):
+        budget = TermBudget()
+        assert charp.nu_table(BINARY41, 2, budget).values == (26, 1106)
+        assert budget.used == 90976
+
+    def test_binary_form_budget_runs_out_at_level_three(self):
+        budget = TermBudget(120_000)
+        report = charp.bracket(BINARY41, 3, budget)
+        assert report.budget_exhausted
+        assert report.nu_values.values == (26, 1106)
+        assert budget.used == 120_007
+
+    def test_cusp13_budget_60(self):
+        budget = TermBudget(60)
+        report = charp.bracket(fp(13, "x^2+y^3"), 3, budget)
+        assert report.nu_values.values == (10,)
+        assert budget.used == 61
+
+    @pytest.mark.parametrize("e_max", [1, 2])
+    def test_threshold_one_quadric(self, e_max):
+        # expanding level 2 as well would charge 161836 terms in all
+        budget = TermBudget()
+        assert charp.nu_table(QUADRIC7, e_max, budget).values == (6, 48)[:e_max]
+        assert budget.used == 824
+
+
 class TestFptIsOne:
     def test_line_plus_curve(self):
         for p, d in ((2, 3), (5, 4), (7, 2)):

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, files, config handling."""
 
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,22 @@ class TestNuBracketCertify:
         code, out, err = run(capsys, command, "x^2+y^3", "-p", prime, "-e", "1")
         assert code == 4 and out == ""
         assert f"base must be prime, got {prime}" in err
+
+    def test_mersenne_prime_runs_to_the_budget(self, capsys):
+        # p = 2^61 - 1 is decided by Miller-Rabin; the term budget then ends nu
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "nu", "x+y", "-p", str(2**61 - 1), "-e", "1", "--budget", "10000"
+        )
+        assert code == 5 and out == "" and "budget" in err
+        assert time.perf_counter() - start < 5
+
+    def test_prime_past_primality_limit_exit_4(self, capsys):
+        code, out, err = run(
+            capsys, "nu", "x+y", "-p", "318665857834031151167461", "-e", "1"
+        )
+        assert code == 4 and out == ""
+        assert "decided exactly only below 318665857834031151167461" in err
 
     def test_zero_denominator_lambda_exit_4(self, capsys):
         code, out, err = run(
@@ -216,6 +233,13 @@ class TestScanCommand:
         assert code == 0
         primes = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
         assert primes == ["2", "3", "5", "7"]
+
+    def test_wide_prime_range_exit_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", "x^2+y^3", "--prime-range", "2,100000000")
+        assert code == 4 and out == ""
+        assert "holds more than 1000000 integers" in err
+        assert time.perf_counter() - start < 5
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "scan.cfg"

@@ -1,5 +1,6 @@
 """Digit, truncation, carry, and Lucas-residue behaviour."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,43 @@ class TestPrimes:
             for p in exactnum.primes_in_progression(d, 5):
                 assert sympy.isprime(p)
                 assert p % d == 1 % d
+
+    def test_is_prime_against_sympy(self):
+        import sympy
+
+        rng = random.Random(29)
+        samples = list(range(-3, 3000))
+        samples += [rng.randrange(2, exactnum.PRIMALITY_LIMIT) for _ in range(2000)]
+        # strong pseudoprimes to the first 4 and the first 11 prime bases,
+        # the largest odd number below the limit, and a Mersenne prime
+        samples += [3215031751, 3825123056546413051, exactnum.PRIMALITY_LIMIT - 2, 2**61 - 1]
+        for n in samples:
+            assert exactnum.is_prime(n) == sympy.isprime(n), n
+
+    def test_is_prime_refuses_past_its_limit(self):
+        # the limit is a strong pseudoprime to all 12 witnesses: Miller-Rabin
+        # alone would call it prime
+        limit = exactnum.PRIMALITY_LIMIT
+        with pytest.raises(ValueError, match=str(limit)):
+            exactnum.is_prime(limit)
+        assert exactnum.is_prime(2 * limit) is False  # a witness divides it
+
+    def test_primes_in_range_against_sympy(self):
+        import sympy
+
+        for lo, hi in [
+            (-10, 30), (0, 1), (2, 2), (4, 4), (1, 10**5),
+            (10**12, 10**12 + 3000), (2**61 - 500, 2**61 + 500),
+            (65537**2 - 100, 65537**2 + 100),
+        ]:
+            expected = list(sympy.primerange(max(lo, 0), hi + 1))
+            assert exactnum.primes_in_range(lo, hi) == expected, (lo, hi)
+
+    def test_prime_range_width_is_capped(self):
+        width = exactnum.PRIME_RANGE_WIDTH
+        assert len(exactnum.primes_in_range(2, width + 1)) == 78498
+        with pytest.raises(ValueError, match=f"holds more than {width} integers"):
+            exactnum.primes_in_range(2, width + 2)
 
 
 class TestRationalText:
