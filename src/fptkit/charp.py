@@ -72,8 +72,9 @@ class FpPoly:
 
     def multiply(self, other: "FpPoly", budget: TermBudget | None = None) -> "FpPoly":
         """self * other, charged to budget with the length of the product as
-        built, zero coefficients included; a product that would pass what is
-        left of the budget stops after the row that passes it, and the charge raises."""
+        built, zero coefficients included, times the 64-bit words of a packed
+        key; a product that would pass what is left of the budget stops after
+        the row that passes it, and the charge raises."""
         if self.p != other.p or self.num_vars != other.num_vars:
             raise ValueError("cannot multiply polynomials over different rings")
         a, b = self, other  # the nu engine's operands come packed, at one width
@@ -81,8 +82,8 @@ class FpPoly:
             top = max((x for g in (self, other) for k in g.terms for x in k), default=0)
             a, b = _Packed(self, top.bit_length() + 2), _Packed(other, top.bit_length() + 2)
         p, row, out = self.p, list(b.terms.items()), {}
-        get = out.get
-        room = math.inf if budget is None else budget.limit - budget.used
+        get, words = out.get, (self.num_vars * a.width + 63) // 64 or 1
+        room = math.inf if budget is None else (budget.limit - budget.used) // words
         for k1, c1 in a.terms.items():
             for k2, c2 in row:
                 k = k1 + k2
@@ -90,7 +91,7 @@ class FpPoly:
             if len(out) > room:
                 break
         if budget is not None:
-            budget.charge(len(out))
+            budget.charge(len(out) * words)
         result = _Packed(a, a.width, {k: c for k, c in out.items() if c})
         return result if a is self else result.unpacked()
 

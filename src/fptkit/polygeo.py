@@ -8,14 +8,16 @@ exponent matrix.  Two polyhedra drive everything downstream:
 * the Newton polyhedron  N = conv(columns) + R^m_{>=0},  whose boundary
   point (1/alpha)*(1,...,1) singles out a minimal face.
 
-The threshold is computed twice on purpose: once by simplex over P and once
-by vertex enumeration reading N, so the two routes check each other.
+The threshold is computed twice on purpose, so the two routes check each
+other: once by simplex over P, and once by vertex enumeration reading N, which
+solves k x k tight-row systems of P in integers.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,6 +28,10 @@ from .ratlp import LinearProgram, OPTIMAL
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Most systems newton_threshold may solve; at about 45 us a system (8 variables,
+# 12 monomials, one 2-CPU x86-64 VM) that is 9 s, so more is refused up front.
+VERTEX_SYSTEMS_CAP = 2 * 10**5
 
 
 @dataclass(frozen=True)
@@ -202,58 +208,51 @@ def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
     return out.status == OPTIMAL
 
 
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over Fraction; None when the system is singular."""
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _solve_tight(a: Sequence[list[int]]) -> tuple[list[int], int] | None:
+    """Solve a x = (1,...,1) for a square integer matrix by fraction-free
+    Gauss-Jordan elimination (Bareiss, Math. Comp. 1968): (y, d) with x = y/d
+    and d = |det a| > 0, or None when a is singular.  Every entry stays a
+    minor of [a | 1], so each division is exact."""
+    rows, d = [row + [1] for row in a], 1
+    for c in range(len(rows)):
+        piv = next((r for r in range(c, len(rows)) if rows[r][c]), None)
         if piv is None:
             return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        rows = [r if r is top else [(top[c] * x - r[c] * t) // d for x, t in zip(r, top)]
+                for r in rows]
+        d = top[c]
+    return ([r[-1] for r in rows], d) if d > 0 else ([-r[-1] for r in rows], -d)
 
 
 def newton_threshold(ms: MonomialSet) -> Fraction:
     """Threshold read off the Newton polyhedron: the largest lam > 0 with
     (1/lam)*(1,...,1) in N.
 
-    Substituting t = lam*s turns that into maximizing |t| over P, which is
-    solved here by exact enumeration of basic feasible points -- a code path
-    deliberately disjoint from the simplex in splitting_threshold.
+    Substituting t = lam*s turns that into maximizing |t| over P, solved here
+    by exact vertex enumeration -- a code path deliberately disjoint from the
+    simplex in splitting_threshold.  A vertex s != 0 of P has k <= min(m, n)
+    columns S with s_S > 0 and k rows R tight at s with E[R,S] nonsingular, so
+    it solves E[R,S] x = 1; a solution is a vertex iff x >= 0 and E[:,S] x <= 1.
+    More than VERTEX_SYSTEMS_CAP of these C(n+m, n) - 1 systems is refused.
     """
     e = ms.exponent_matrix
-    n = ms.num_monomials
-    m = ms.num_vars
-    # constraint pool: s_j = 0 (j < n) and row_i . s = 1 (i >= n)
-    best = ZERO  # s = 0 is always a vertex of P
-    for active in itertools.combinations(range(n + m), n):
-        matrix = []
-        rhs = []
-        for c in active:
-            if c < n:
-                matrix.append([ONE if j == c else ZERO for j in range(n)])
-                rhs.append(ZERO)
-            else:
-                matrix.append([Fraction(a) for a in e[c - n]])
-                rhs.append(ONE)
-        point = _solve_square(matrix, rhs)
-        if point is None:
-            continue
-        if any(x < 0 for x in point):
-            continue
-        if any(sum(row[j] * point[j] for j in range(n)) > 1 for row in e):
-            continue
-        total = sum(point)
-        if total > best:
-            best = total
-    return best
+    n, m = ms.num_monomials, ms.num_vars
+    systems = math.comb(n + m, n) - 1
+    if systems > VERTEX_SYSTEMS_CAP:
+        raise ValueError(f"vertex enumeration would solve {systems} systems, over the cap "
+                         f"of {VERTEX_SYSTEMS_CAP}; alpha gives the same threshold by simplex")
+    best, best_d = 0, 1  # s = 0 is always a vertex of P
+    for k in range(1, min(m, n) + 1):
+        for cols in itertools.combinations(range(n), k):
+            sub = [[row[j] for j in cols] for row in e]
+            for y, d in filter(None, map(_solve_tight, itertools.combinations(sub, k))):
+                if min(y) >= 0 and sum(y) * best_d > best * d and all(
+                    sum(a * t for a, t in zip(row, y)) <= d for row in sub
+                ):
+                    best, best_d = sum(y), d
+    return Fraction(best, best_d)
 
 
 def newton_analysis(ms: MonomialSet) -> NewtonAnalysis:

@@ -243,6 +243,25 @@ class TestMultiply:
             keys = {tuple(map(sum, zip(k1, k2))) for k1 in a.terms for k2 in b.terms}
             assert budget.used == len(keys)
 
+    def test_wide_keys_charge_per_64_bit_word(self):
+        # exponents up to 2^40 pack into 43-bit fields, so a term of n
+        # variables costs ceil(43 n / 64) words; 0 variables still cost 1
+        for n, words in ((0, 1), (1, 1), (2, 2), (3, 3)):
+            a = FpPoly(5, n, {(2**40,) * n: 1, (1,) * n: 2})
+            budget = TermBudget()
+            a.multiply(FpPoly(5, n, {(1,) * n: 3}), budget)
+            assert budget.used == len(a.terms) * words
+
+    def test_wide_keys_stop_at_the_limit(self):
+        # 2 words a term: the multiply stops once 50 terms are built, at most
+        # one row of 3 past it, so the charge passes 100 by at most 3 * 2
+        big = FpPoly(31, 2, {(2**40 + i, j): 1 for i in range(30) for j in range(30)})
+        small = FpPoly(31, 2, {(1, 0): 1, (0, 1): 2, (3, 3): 1})
+        budget = TermBudget(100)
+        with pytest.raises(BudgetExceededError):
+            big.multiply(small, budget)
+        assert 100 < budget.used <= 100 + 3 * 2
+
     def test_engine_charges_only_through_multiply(self, monkeypatch):
         # the nu sweep multiplies with FpPoly.multiply and reduces with
         # frobenius_reduce, so whatever wraps them sees every product

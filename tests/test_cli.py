@@ -36,6 +36,17 @@ class TestAlphaLctNewton:
         code, out, _ = run(capsys, "lct", "x^2, y^3")
         assert code == 0 and "lct = 5/6" in out
 
+    def test_oversized_lct_exit_4(self, capsys):
+        # 12 variables, 24 monomials: C(36, 12) - 1 vertex systems
+        monomials = [f"x{i}^2" for i in range(1, 13)]
+        monomials += [f"x{i}*x{i % 12 + 1}" for i in range(1, 13)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lct", ", ".join(monomials))
+        assert code == 4 and out == ""
+        assert "would solve 1251677699 systems, over the cap of 200000" in err
+        assert "alpha" in err
+        assert time.perf_counter() - start < 5
+
     def test_newton_membership_query(self, capsys):
         code, out, _ = run(capsys, "newton", "x^2, y^3", "--contains", "6/5,6/5")
         assert code == 0 and "contains (6/5, 6/5): yes" in out
@@ -141,6 +152,14 @@ class TestNuBracketCertify:
             capsys, "nu", "x^2+y^3", "-p", "13", "-e", "3", "--budget", "100"
         )
         assert code == 5 and "budget" in err
+
+    def test_huge_level_budget_by_key_size_exit_5(self, capsys):
+        # at level 5000 each key holds two 5002-bit fields, 157 words a term,
+        # so the budget runs out after some 32000 terms, not 5 million
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nu", "x^2+y^3", "-p", "2", "-e", "5000")
+        assert code == 5 and out == "" and "budget" in err
+        assert time.perf_counter() - start < 5
 
     def test_bracket_partial_on_budget(self, capsys):
         code, out, _ = run(

@@ -179,6 +179,82 @@ class TestNewtonThreshold:
             assert polygeo.newton_threshold(s) == polygeo.splitting_threshold(s)
 
 
+class TestVertexRoute:
+    @staticmethod
+    def shaped_sets(rng):
+        # exponent matrices by rows; their columns are the monomials
+        def row(n):
+            return [rng.randint(0, 4) for _ in range(n)]
+
+        for _ in range(15):
+            m, n = rng.randint(3, 5), rng.randint(1, 2)  # m > n
+            yield [row(n) for _ in range(m)]
+            m, n = rng.randint(1, 2), rng.randint(3, 5)  # n > m
+            yield [row(n) for _ in range(m)]
+            yield [row(rng.randint(1, 6))]  # m = 1
+            yield [row(1) for _ in range(rng.randint(1, 6))]  # n = 1
+            first = row(4)
+            yield [first, [2 * a for a in first], row(4)]  # proportional rows
+            yield [first, first, row(4)]  # repeated rows
+            yield [row(3), [0, 0, 0], row(3)]  # a variable no monomial uses
+
+    def test_against_vertex_oracle_on_shapes(self):
+        rng = random.Random(5150)
+        checked = 0
+        for rows in self.shaped_sets(rng):
+            columns = list(zip(*rows))
+            if not all(any(c) for c in columns) or len(set(columns)) < len(columns):
+                continue
+            s = MonomialSet(len(rows), tuple(columns))
+            status, value, _ = oracles.lp_vertex_oracle([1] * len(columns), rows, [1] * len(rows))
+            assert status == "OPTIMAL"
+            assert polygeo.newton_threshold(s) == value, rows
+            checked += 1
+        assert checked > 60
+
+    @staticmethod
+    def det(a):
+        # Leibniz formula, each permutation signed by its inversions
+        k = len(a)
+        total = 0
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+            term = (-1) ** inversions
+            for i, j in enumerate(perm):
+                term *= a[i][j]
+            total += term
+        return total
+
+    def test_solver_against_gauss_oracle(self):
+        rng = random.Random(1968)
+        singular = negative = 0
+        for _ in range(600):
+            k = rng.randint(1, 4)
+            a = [[rng.randint(-3, 4) for _ in range(k)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.2:
+                a[-1] = [2 * x for x in a[0]]
+            want = oracles.gauss_solve(a, [1] * k)
+            got = polygeo._solve_tight([row[:] for row in a])
+            if want is None:
+                assert got is None, a
+                singular += 1
+                continue
+            y, d = got
+            det = self.det(a)
+            assert d == abs(det) and [F(t, d) for t in y] == want, a
+            negative += det < 0
+        assert singular > 50 and negative > 100
+
+    def test_cap_is_checked_before_any_work(self, monkeypatch):
+        s = ms((2, 0, 1), (0, 3, 1), (1, 1, 0))  # C(6, 3) - 1 = 19 systems
+        monkeypatch.setattr(polygeo, "VERTEX_SYSTEMS_CAP", 19)
+        assert polygeo.newton_threshold(s) == polygeo.splitting_threshold(s)
+        monkeypatch.setattr(polygeo, "VERTEX_SYSTEMS_CAP", 18)
+        monkeypatch.setattr(polygeo, "_solve_tight", lambda a: pytest.fail("solved a system"))
+        with pytest.raises(ValueError, match="would solve 19 systems, over the cap of 18"):
+            polygeo.newton_threshold(s)
+
+
 class TestNewtonAnalysis:
     def test_cusp_with_interior_generator(self):
         # the product monomial x^2*y^3 sits above the bounded facet
