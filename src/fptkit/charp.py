@@ -265,7 +265,10 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
             r = frobenius_reduce(f, e)
             best = 0 if r.is_zero() else 1
         while 0 < best < limit:
-            nxt = frobenius_reduce(r.multiply(f, budget), e)
+            try:
+                nxt = frobenius_reduce(r.multiply(f, budget), e)
+            except BudgetExceededError as ex:
+                raise BudgetExceededError(f"{ex} at p={p}, level e={e}, exponent a={best + 1}") from None
             if nxt.is_zero():
                 break
             r, best = nxt, best + 1

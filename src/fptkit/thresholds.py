@@ -12,7 +12,9 @@ certificates.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -423,6 +425,56 @@ def _scan_one_prime(
     return ScanRow(prime=p, claim=claim, report=report, witness=witness)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_scan(work, ordered: list[int], jobs: int) -> list[ScanRow] | None:
+    """Rows of ordered from jobs forked children, or None if a fork or a child failed.
+
+    Child i scans ordered[i::jobs] and writes its rows to a pipe as one
+    pickle; it never returns into the caller.  Every child is reaped before
+    this returns, and killed first if the parent is interrupted.
+    """
+    pending: list[int] = []
+    pipes = []
+    try:
+        for i in range(jobs):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the serial scan still runs
+                os.close(w)
+                return None
+            if pid == 0:
+                code = 1
+                try:
+                    with os.fdopen(w, "wb") as out:
+                        pickle.dump([work(p) for p in ordered[i::jobs]], out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pending.append(pid)
+        chunks = [pipe.read() for pipe in pipes]
+        failed = 0  # a child exits 0 only after writing all its rows
+        while pending:
+            failed |= os.waitpid(pending[-1], 0)[1]
+            pending.pop()
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed:
+        return None
+    return sorted((row for chunk in chunks for row in pickle.loads(chunk)), key=lambda r: r.prime)
+
+
 def dense_fpurity_scan(
     f: QPoly,
     primes: Sequence[int],
@@ -431,10 +483,12 @@ def dense_fpurity_scan(
     preserve_support: bool = True,
     jobs: int = 1,
 ) -> list[ScanRow]:
-    """Per-prime threshold reports for the mod-p models of f.
+    """Per-prime threshold reports for the mod-p models of f, ordered by prime.
 
-    Reduction failures are recorded per prime and the scan continues.  Rows
-    come back ordered by prime regardless of worker scheduling.
+    Reduction failures are recorded per prime and the scan continues.  With
+    jobs > 1 the primes are dealt out to min(jobs, primes, usable CPUs)
+    forked processes; if any of them fails, the whole scan is rerun here, so
+    an error is raised exactly as with jobs = 1.
     """
     for p in primes:
         if not exactnum.is_prime(p):
@@ -442,17 +496,15 @@ def dense_fpurity_scan(
     if not f.terms:
         raise ValueError("cannot scan the zero polynomial")
     ms = support_monomials(f)
-    polygeo.maximal_points(ms)  # solved here, once, before any worker reads it
+    polygeo.maximal_points(ms)  # solved here, once, before any worker starts
     ordered = sorted(set(primes))
 
     def work(p: int) -> ScanRow:
         return _scan_one_prime(f, ms, p, e_max, budget_limit, preserve_support)
 
-    if jobs <= 1:
-        return [work(p) for p in ordered]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(work, ordered))
-    return rows
+    jobs = min(jobs, len(ordered), _usable_cpus())
+    rows = _forked_scan(work, ordered, jobs) if jobs > 1 and hasattr(os, "fork") else None
+    return rows if rows is not None else [work(p) for p in ordered]
 
 
 def scan_csv_text(rows: Sequence[ScanRow]) -> str:

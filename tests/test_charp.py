@@ -1,6 +1,7 @@
 """Frobenius-power reduction, nu, certification, brackets, reduction mod p."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -367,6 +368,23 @@ class TestEngineCharges:
         report = charp.bracket(fp(13, "x^2+y^3"), 3, budget)
         assert report.nu_values.values == (10,)
         assert budget.used == 61
+
+    @pytest.mark.parametrize("limit", [5, 60, 100, 135])
+    def test_exhaustion_names_prime_level_and_exponent(self, limit):
+        f = fp(13, "x^2+y^3")
+        nu = charp.nu_table(f, 3).values
+        with pytest.raises(BudgetExceededError) as info:
+            charp.nu_table(f, 3, TermBudget(limit))
+        match = re.fullmatch(
+            r"term budget exhausted \((\d+) > (\d+)\) at p=13, level e=(\d+), exponent a=(\d+)",
+            str(info.value),
+        )
+        assert match is not None
+        used, cap, e, a = map(int, match.groups())
+        assert used > cap == limit
+        # the levels before e completed, and f^(a-1) survived level e
+        start = 1 if e == 1 else 13 * nu[e - 2]
+        assert start < a <= nu[e - 1] + 1
 
     @pytest.mark.parametrize("e_max", [1, 2])
     def test_threshold_one_quadric(self, e_max):

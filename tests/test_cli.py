@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, files, config handling."""
 
 import json
+import os
 import time
 
 import pytest
@@ -159,6 +160,8 @@ class TestNuBracketCertify:
         start = time.perf_counter()
         code, out, err = run(capsys, "nu", "x^2+y^3", "-p", "2", "-e", "5000")
         assert code == 5 and out == "" and "budget" in err
+        # the message says where the work stopped: f^16383 at level 15
+        assert err.endswith(") at p=2, level e=15, exponent a=16383\n")
         assert time.perf_counter() - start < 5
 
     def test_bracket_partial_on_budget(self, capsys):
@@ -236,6 +239,22 @@ class TestScanCommand:
         _, first, _ = run(capsys, *args, "--jobs", "1")
         _, second, _ = run(capsys, *args, "--jobs", "4")
         assert first == second
+
+    def test_forked_scan_files_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        files = {}
+        for jobs in ("1", "2"):
+            csv_path, json_path = tmp_path / f"scan{jobs}.csv", tmp_path / f"scan{jobs}.json"
+            code, out, err = run(
+                capsys, "scan", "x^2+y^3+x*y", "--prime-range", "2,60", "--e-max", "2",
+                "--jobs", jobs, "--csv", str(csv_path), "--json", str(json_path),
+            )
+            assert (code, out, err) == (0, "", "")
+            files[jobs] = csv_path.read_bytes(), json_path.read_bytes()
+        assert b'"jobs": 2\n' in files["2"][1]
+        # the JSON echoes the jobs value; every other byte is the same
+        assert files["2"][0] == files["1"][0]
+        assert files["2"][1].replace(b'"jobs": 2\n', b'"jobs": 1\n') == files["1"][1]
 
     def test_progression_spec(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,9 @@
 """Carry criterion, coefficient polynomials, gap tests, and the prime scan."""
 
+import os
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -549,3 +552,128 @@ class TestScan:
         f = parse_polynomial("7*x + 7*y")
         (row,) = dense_fpurity_scan(f, [7], e_max=1, preserve_support=False)
         assert row.claim == REDUCTION_ERROR
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Two usable CPUs, so jobs > 1 forks; counts the forks and the primes
+    this process scans itself."""
+    seen = {"forks": 0, "scanned": []}
+    fork, scan_one = os.fork, thresholds._scan_one_prime
+
+    def counted_fork():
+        seen["forks"] += 1
+        return fork()
+
+    def recorded_scan(f, ms, p, *rest):
+        seen["scanned"].append(p)
+        return scan_one(f, ms, p, *rest)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(thresholds, "_scan_one_prime", recorded_scan)
+    return seen
+
+
+def _scan(*args, **kwargs):
+    """dense_fpurity_scan, ending a child that comes back out of it."""
+    parent = os.getpid()
+    try:
+        return dense_fpurity_scan(*args, **kwargs)
+    finally:
+        if os.getpid() != parent:
+            os._exit(99)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestForkedScan:
+    @pytest.mark.parametrize("text,p,e_max,budget,preserve,row,certs", _ROW_KINDS)
+    def test_row_kinds_equal_serial(self, pool, text, p, e_max, budget, preserve, row, certs):
+        f, primes = parse_polynomial(text), sorted({2, 3, p})
+        docs = []
+        for jobs in (1, 2):
+            pool["scanned"].clear()
+            rows = _scan(f, primes, e_max=e_max, budget_limit=budget,
+                         preserve_support=preserve, jobs=jobs)
+            docs.append(scan_json_document(text, {}, rows))
+        # the children scanned every prime; the parent fell back to none
+        assert pool == {"forks": 2, "scanned": []}
+        assert docs[1] == docs[0]
+        assert row in docs[1]["rows"]
+        assert _no_children_left()
+
+    def test_failing_prime_raises_as_serial(self, pool, monkeypatch):
+        scan_one = thresholds._scan_one_prime
+
+        def failing(f, ms, p, *rest):
+            if p == 7:
+                raise ArithmeticError(f"no row for {p}")
+            return scan_one(f, ms, p, *rest)
+
+        monkeypatch.setattr(thresholds, "_scan_one_prime", failing)
+        f = parse_polynomial("x^2+y^3")
+        raised = []
+        for jobs in (1, 2):
+            pool["scanned"].clear()
+            with pytest.raises(ArithmeticError) as info:
+                _scan(f, [2, 3, 5, 7, 11], e_max=2, jobs=jobs)
+            raised.append((type(info.value), str(info.value)))
+        # the child that met 7 wrote nothing, so the parent reran the scan
+        assert pool == {"forks": 2, "scanned": [2, 3, 5]}
+        assert raised[1] == raised[0] == (ArithmeticError, "no row for 7")
+        assert _no_children_left()
+
+    def test_failed_fork_scans_serially(self, pool, monkeypatch):
+        fork = os.fork
+
+        def second_fork_fails():
+            if pool["forks"] == 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        f = parse_polynomial("x^2+y^3")
+        rows = _scan(f, [2, 3, 5, 7], e_max=2, jobs=2)
+        # the first child is killed and reaped, and the parent scans it all
+        assert pool["scanned"] == [2, 3, 5, 7]
+        assert scan_csv_text(rows) == scan_csv_text(_scan(f, [2, 3, 5, 7], e_max=2))
+        assert _no_children_left()
+
+    def test_interrupted_parent_kills_and_reaps(self, pool, monkeypatch):
+        # the children would sleep for a minute; the parent is interrupted
+        # while it reads their pipes
+        monkeypatch.setattr(thresholds, "_scan_one_prime", lambda *args: time.sleep(60))
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                _scan(parse_polynomial("x^2+y^3"), [2, 3, 5], e_max=1, jobs=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert pool["forks"] == 2
+        assert time.perf_counter() - start < 10
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("affinity", [True, False])
+    def test_workers_capped_by_cpus_and_primes(self, pool, monkeypatch, affinity):
+        if not affinity:  # platforms without sched_getaffinity use cpu_count
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2 if not affinity else 64)
+        f = parse_polynomial("x^2+y^3")
+        rows = _scan(f, [2, 3, 5, 7, 11], e_max=1, jobs=10**6)
+        assert pool == {"forks": 2, "scanned": []}
+        assert [row.prime for row in rows] == [2, 3, 5, 7, 11]
+        _scan(f, [7], e_max=1, jobs=10**6)
+        assert pool == {"forks": 2, "scanned": [7]}  # one prime: no fork
+        assert _no_children_left()
