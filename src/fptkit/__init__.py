@@ -39,7 +39,7 @@ from .polygeo import (
     splitting_polytope,
     splitting_threshold,
 )
-from .ratlp import LinearProgram, LpOutcome, feasible, maximize, optimum_is_unique
+from .ratlp import LinearProgram, LpOutcome, maximize, optimum_is_unique
 from .thresholds import (
     CarryVerdict,
     CoefficientPolynomial,

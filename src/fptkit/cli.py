@@ -2,9 +2,9 @@
 
 Subcommands: alpha, lct, newton, nu, bracket, certify, theta, scan, primes.
 Exit codes: 0 success, 2 parse error, 3 invalid monomial set, 4 failed
-precondition (integrality, reduction, inapplicable hypothesis), 5 term
-budget exhausted, 6 I/O error.  Rationals print as reduced a/b, never as
-decimals.
+precondition (integrality, reduction, inapplicable hypothesis, a level whose
+values could not be printed), 5 term budget exhausted, 6 I/O error.
+Rationals print as reduced a/b, never as decimals.
 """
 
 from __future__ import annotations
@@ -34,6 +34,19 @@ EXIT_BUDGET = 5
 EXIT_IO = 6
 
 _fmt = exactnum.format_rational
+
+# CPython's default int-to-str limit is 4300 digits, so values at a level
+# with p^e past 10^4300 could not be printed; 2^e passes it once e > 14285.
+_PRINTABLE_LEVELS = 10**4300
+
+
+def _check_printable(p: int, e: int, flag: str) -> None:
+    """Refuse, before any work, a level whose values could not be printed."""
+    if e > 14285 or p**e > _PRINTABLE_LEVELS:
+        raise ValueError(
+            f"{flag} {e} at p={p}: p^e passes 10^4300, so values at this level "
+            "would have more than 4300 digits and could not be printed"
+        )
 
 
 def _point_text(point) -> str:
@@ -86,6 +99,7 @@ def _reduced_input(args) -> charp.FpPoly:
 
 def cmd_nu(args) -> int:
     fp = _reduced_input(args)
+    _check_printable(args.prime, args.e, "-e")
     budget = TermBudget(args.budget)
     if args.table:
         table = charp.nu_table(fp, args.e, budget)
@@ -98,6 +112,7 @@ def cmd_nu(args) -> int:
 
 def cmd_bracket(args) -> int:
     fp = _reduced_input(args)
+    _check_printable(args.prime, args.e, "-e")
     report = charp.bracket(fp, args.e, TermBudget(args.budget))
     if report.nu_values is not None:
         for e, v in enumerate(report.nu_values.values, start=1):
@@ -225,6 +240,9 @@ def cmd_scan(args) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     primes = _scan_primes(args, config)
+    if primes:
+        flag = "--e-max" if args.e_max is not None else "e_max"
+        _check_printable(max(primes), e_max, flag)
 
     f = parsing.parse_polynomial(args.polynomial, num_vars=args.vars or None)
     rows = thresholds.dense_fpurity_scan(

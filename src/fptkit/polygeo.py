@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from . import ratlp
 from .errors import InvalidMonomialSetError
-from .ratlp import LinearProgram, OPTIMAL
+from .ratlp import LinearProgram
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,18 +194,20 @@ def maximal_points(ms: MonomialSet) -> MaximalPointResult:
 def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
     """Membership of v in N = conv(monomials) + R^m_{>=0}.
 
-    Feasibility of  s >= 0, |s| = 1, E s <= v  is exactly membership,
-    because the orthant part can only raise coordinates.
+    N lies in the orthant, so a negative coordinate rules v out.  Otherwise
+    v is in N iff  s >= 0, |s| = 1, E s <= v  is feasible, because the orthant
+    part can only raise coordinates; and, as v >= 0, an s with E s <= v and
+    |s| >= 1 rescales to |s| = 1 and still has E s <= v.  So v is in N iff
+    max |s| over {s >= 0 : E s <= v} is at least 1; for v = (1/lam)*(1,...,1)
+    that is the threshold's alpha >= lam.
     """
-    v = [Fraction(a) for a in v]
+    v = tuple(Fraction(a) for a in v)
     if len(v) != ms.num_vars:
         raise ValueError(f"point has {len(v)} coordinates, expected {ms.num_vars}")
-    n = ms.num_monomials
-    lp = LinearProgram(
-        objective=(ZERO,) * n, constraint_matrix=ms.exponent_matrix, rhs=tuple(v)
-    )
-    out = ratlp.feasible(lp, extra_equalities=[((ONE,) * n, ONE)])
-    return out.status == OPTIMAL
+    if any(a < 0 for a in v):
+        return False
+    lp = LinearProgram((ONE,) * ms.num_monomials, ms.exponent_matrix, v)
+    return ratlp.maximize(lp).value >= 1
 
 
 def _solve_tight(a: Sequence[list[int]]) -> tuple[list[int], int] | None:

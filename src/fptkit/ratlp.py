@@ -1,8 +1,10 @@
 """Exact rational linear programming.
 
-Solves  max c.x  subject to  A x <= b, x >= 0  with a two-phase primal
-simplex over Fraction entries.  Bland's anti-cycling rule makes termination
-unconditional; performance is secondary at desk scale.
+Solves  max c.x  subject to  A x <= b, x >= 0  with b >= 0, the one shape
+fptkit poses (the splitting polytope {s >= 0 : E s <= 1} contains 0).  So
+x = 0 is a vertex, the all-slack basis is feasible, and the primal simplex
+starts there over Fraction entries with no phase one.  Bland's anti-cycling
+rule makes termination unconditional; performance is secondary at desk scale.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 OPTIMAL = "OPTIMAL"
-INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
 
 ZERO = Fraction(0)
@@ -38,6 +39,9 @@ class LinearProgram:
                 raise ValueError(
                     f"row width {len(row)} does not match objective length {len(obj)}"
                 )
+        for i, b in enumerate(rhs):
+            if b < 0:
+                raise ValueError(f"rhs entry {i} is {b}; it must be >= 0 so that x = 0 is feasible")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_matrix", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -59,38 +63,23 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dictionary-form simplex tableau; columns are structural + slack
-    (+ artificial during phase one)."""
+    """Dictionary-form simplex tableau [A | I | b]; columns are structural +
+    slack, and the slacks are the starting basis (x = 0)."""
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_constraints
         self.n = n
         self.m = m
-        self.num_structural = n + m
-        art_rows = [i for i in range(m) if lp.rhs[i] < 0]
-        self.num_cols = n + m + len(art_rows)
+        self.num_cols = n + m
         self.rows: list[list[Fraction]] = []
-        self.basis: list[int] = []
-        art_col = n + m
-        self.artificial_rows = art_rows
         for i in range(m):
-            row = [ZERO] * (self.num_cols + 1)
-            neg = lp.rhs[i] < 0
-            sign = -1 if neg else 1
-            for j in range(n):
-                row[j] = sign * lp.constraint_matrix[i][j]
-            row[n + i] = Fraction(sign)
-            row[-1] = sign * lp.rhs[i]
-            if neg:
-                row[art_col] = ONE
-                self.basis.append(art_col)
-                art_col += 1
-            else:
-                self.basis.append(n + i)
+            row = list(lp.constraint_matrix[i]) + [ZERO] * m + [lp.rhs[i]]
+            row[n + i] = ONE
             self.rows.append(row)
+        self.basis: list[int] = list(range(n, n + m))
         self.zrow = [ZERO] * self.num_cols
         self.zval = ZERO
-        # columns allowed to enter; artificial columns get disabled after phase 1
+        # columns allowed to enter; optimal_face bars those off the face
         self.allowed = [True] * self.num_cols
 
     def pivot(self, i: int, j: int) -> None:
@@ -140,40 +129,6 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(i, j)
 
-    def phase_one(self) -> bool:
-        """Drive artificials to zero; returns False when infeasible."""
-        if not self.artificial_rows:
-            return True
-        art_set = set(range(self.num_structural, self.num_cols))
-        for j in range(self.num_cols):
-            if j in art_set:
-                continue
-            self.zrow[j] = sum(
-                self.rows[i][j] for i in range(self.m) if self.basis[i] in art_set
-            )
-        self.zval = -sum(
-            self.rows[i][-1] for i in range(self.m) if self.basis[i] in art_set
-        )
-        status = self.run()
-        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
-        if self.zval != 0:
-            return False
-        # Pivot lingering artificials out of the basis (degenerate pivots);
-        # rows with no structural pivot are redundant and dropped.
-        for i in range(self.m - 1, -1, -1):
-            if self.basis[i] in art_set:
-                for j in range(self.num_structural):
-                    if self.rows[i][j] != 0:
-                        self.pivot(i, j)
-                        break
-                else:
-                    del self.rows[i]
-                    del self.basis[i]
-        self.m = len(self.rows)
-        for j in art_set:
-            self.allowed[j] = False
-        return True
-
     def maximize(self, objective: Sequence[Fraction]) -> LpOutcome:
         """max objective.x, run from the current (feasible) basis."""
         c = list(objective) + [ZERO] * (self.num_cols - self.n)
@@ -203,39 +158,7 @@ def maximize(lp: LinearProgram) -> LpOutcome:
 
     The witness is always a basic feasible solution (vertex).
     """
-    t = _Tableau(lp)
-    return t.maximize(lp.objective) if t.phase_one() else LpOutcome(status=INFEASIBLE)
-
-
-def feasible(
-    lp: LinearProgram,
-    extra_equalities: Sequence[tuple[Sequence[Fraction], Fraction]] = (),
-) -> LpOutcome:
-    """Phase-one feasibility check, optionally with equality side constraints.
-
-    Equalities are handled as paired inequalities so a single tableau code
-    path serves everything.  Returns a feasible witness (status OPTIMAL,
-    value 0) or INFEASIBLE.
-    """
-    rows = [list(r) for r in lp.constraint_matrix]
-    rhs = list(lp.rhs)
-    for row, b in extra_equalities:
-        row = [Fraction(a) for a in row]
-        if len(row) != lp.num_vars:
-            raise ValueError(
-                f"equality row width {len(row)} does not match {lp.num_vars} variables"
-            )
-        b = Fraction(b)
-        rows.append(row)
-        rhs.append(b)
-        rows.append([-a for a in row])
-        rhs.append(-b)
-    probe = LinearProgram(
-        objective=(ZERO,) * lp.num_vars,
-        constraint_matrix=tuple(tuple(r) for r in rows),
-        rhs=tuple(rhs),
-    )
-    return maximize(probe)
+    return _Tableau(lp).maximize(lp.objective)
 
 
 def optimal_face(lp: LinearProgram) -> tuple[Fraction, _Tableau]:
@@ -249,16 +172,16 @@ def optimal_face(lp: LinearProgram) -> tuple[Fraction, _Tableau]:
     barred from entering, the tableau's feasible set is the optimal face.
     """
     face = _Tableau(lp)
-    out = face.maximize(lp.objective) if face.phase_one() else LpOutcome(status=INFEASIBLE)
+    out = face.maximize(lp.objective)
     if out.status != OPTIMAL:
         raise ValueError(f"optimal_face requires an OPTIMAL LP, got {out.status}")
-    face.allowed = [ok and d == 0 for ok, d in zip(face.allowed, face.zrow)]
+    face.allowed = [d == 0 for d in face.zrow]
     return out.value, face
 
 
 def maximize_over_face(face: _Tableau, objective: Sequence[Fraction]) -> LpOutcome:
     """Exact max objective.x over a face from optimal_face, run from its
-    current basis with no new phase one; UNBOUNDED when the face is."""
+    current basis, not from x = 0; UNBOUNDED when the face is."""
     return face.maximize(objective)
 
 

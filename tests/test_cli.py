@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import re
+import shlex
 import time
 
 import pytest
@@ -52,6 +55,10 @@ class TestAlphaLctNewton:
         code, out, _ = run(capsys, "newton", "x^2, y^3", "--contains", "6/5,6/5")
         assert code == 0 and "contains (6/5, 6/5): yes" in out
 
+    def test_newton_negative_coordinate_is_outside(self, capsys):
+        code, out, _ = run(capsys, "newton", "x^2, y^3", "--contains=-1,5")
+        assert code == 0 and out.endswith("contains (-1, 5): no\n")
+
     def test_newton_with_declared_vars(self, capsys):
         code, out, _ = run(capsys, "newton", "x", "--vars", "2")
         assert code == 0 and "diagonal position: no" in out
@@ -68,6 +75,42 @@ class TestAlphaLctNewton:
     def test_invalid_monomials_exit_3(self, capsys):
         code, _, err = run(capsys, "alpha", "x^2, x^2")
         assert code == 3 and "duplicate" in err
+
+
+def _readme_command_block():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+_ARROW = re.compile(r"fptkit (.*?)\s+# -> (.*)")
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize(
+        "line", [line for line in _readme_command_block() if _ARROW.match(line)]
+    )
+    def test_arrow_line(self, capsys, line):
+        argv, expected = _ARROW.match(line).groups()
+        code, out, _ = run(capsys, *shlex.split(argv))
+        # the documented text is a whole output line or the value ending one
+        assert code == 0
+        assert any(got == expected or got.endswith(" " + expected) for got in out.splitlines())
+
+    def test_every_arrow_line_is_collected(self):
+        assert sum(bool(_ARROW.match(line)) for line in _readme_command_block()) == 5
+
+    def test_alpha_block(self, capsys):
+        lines = _readme_command_block()
+        start = next(i for i, line in enumerate(lines) if line.startswith("fptkit alpha "))
+        documented = []
+        for line in lines[start + 1 :]:
+            if not line.startswith("#   "):
+                break
+            documented.append(line[4:])
+        code, out, _ = run(capsys, *shlex.split(lines[start])[1:])
+        assert code == 0 and len(documented) == 5
+        assert out.splitlines() == documented
 
 
 class TestNuBracketCertify:
@@ -163,6 +206,28 @@ class TestNuBracketCertify:
         # the message says where the work stopped: f^16383 at level 15
         assert err.endswith(") at p=2, level e=15, exponent a=16383\n")
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["nu", "x", "-p", "2", "-e", "100000"], "-e 100000 at p=2"),
+            (["nu", "x", "-p", "2", "-e", "14285"], "-e 14285 at p=2"),
+            (["bracket", "x+y", "-p", "2", "-e", "15000"], "-e 15000 at p=2"),
+            (["scan", "x+y", "--primes", "3,2", "--e-max", "9100"], "--e-max 9100 at p=3"),
+        ],
+    )
+    def test_unprintable_level_exit_4_before_work(self, capsys, argv, named):
+        # p^e past 10^4300: its values would pass the 4300-digit int-to-str limit
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert f"error: {named}: p^e passes 10^4300" in err
+        assert time.perf_counter() - start < 3
+
+    def test_last_printable_level_prints(self, capsys):
+        # 2^14284 has 4300 digits, the most that still print
+        code, out, _ = run(capsys, "nu", "x", "-p", "2", "-e", "14284")
+        assert code == 0 and out == str(2**14284 - 1) + "\n"
 
     def test_bracket_partial_on_budget(self, capsys):
         code, out, _ = run(
@@ -278,6 +343,13 @@ class TestScanCommand:
         assert code == 4 and out == ""
         assert "holds more than 1000000 integers" in err
         assert time.perf_counter() - start < 5
+
+    def test_unprintable_config_level_names_its_key(self, capsys, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("primes=2\ne_max=15000\n")
+        code, out, err = run(capsys, "scan", "x+y", "--config", str(cfg))
+        assert code == 4 and out == ""
+        assert "error: e_max 15000 at p=2: p^e passes 10^4300" in err
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "scan.cfg"
