@@ -32,10 +32,20 @@ class TestMaximize:
     def test_unbounded(self):
         assert ratlp.maximize(lp([1], [[-1]], [1])).status == UNBOUNDED
 
-    def test_negative_rhs_rejected(self):
-        # every program starts at x = 0, which b >= 0 keeps feasible
+    # every program starts at x = 0, which b >= 0 keeps feasible, so a
+    # negative rhs is refused whether or not the region it cuts out is empty
+
+    def test_infeasible_via_negative_rhs(self):
+        # 0*x <= -1 can never hold
+        with pytest.raises(ValueError, match="rhs entry 0 is -1"):
+            lp([1], [[0]], [-1])
+
+    def test_negative_rhs_feasible(self):
+        # x >= 2 encoded as -x <= -2: feasible, but x = 0 is not a vertex of it
+        with pytest.raises(ValueError, match="rhs entry 0 is -2"):
+            lp([-1], [[-1]], [-2])
         with pytest.raises(ValueError, match="rhs entry 1 is -2"):
-            lp([1], [[0], [-1]], [1, -2])
+            lp([-1], [[1], [-1]], [3, -2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
