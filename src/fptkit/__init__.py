@@ -39,21 +39,18 @@ from .polygeo import (
     splitting_polytope,
     splitting_threshold,
 )
-from .ratlp import LinearProgram, LpOutcome, maximize, optimum_is_unique
+from .ratlp import LinearProgram, LpOutcome, maximize
 from .thresholds import (
     CarryVerdict,
     CoefficientPolynomial,
     ScanRow,
     carry_criterion,
     dense_fpurity_scan,
-    fedder_prime_bound,
     generic_gap_test,
-    restrict_to_minimal_face,
     scan_csv_text,
     scan_json_document,
     theta_for_point,
     theta_polynomial,
-    unique_point_coefficient,
 )
 
 __version__ = "0.1.0"

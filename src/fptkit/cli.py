@@ -307,7 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("newton", help="minimal face and diagonal-position analysis")
     p.add_argument("monomials")
     add_vars(p)
-    p.add_argument("--contains", help="rational point 'a,b,...' to test for membership")
+    p.add_argument("--contains", help="rational point 'a,b,...' to test for membership "
+                   "(a leading minus needs '=', as in --contains=-1,5)")
     p.set_defaults(func=cmd_newton)
 
     def add_poly_opts(p):

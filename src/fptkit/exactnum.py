@@ -28,7 +28,8 @@ PRIMALITY_LIMIT = 318_665_857_834_031_151_167_461
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Most integers a prime range may hold; a wider range is refused before any
-# work, since a scan spends at least milliseconds on each of its primes.
+# work, since a scan spends at least milliseconds on each of its primes.  A
+# progression search examines at most this many candidates.
 PRIME_RANGE_WIDTH = 10**6
 
 
@@ -266,8 +267,8 @@ def primes_in_progression(
 ) -> list[int]:
     """The `count` smallest primes congruent to 1 mod d.
 
-    Dirichlet guarantees termination; the search still enforces `ceiling`
-    and reports exhaustion explicitly rather than looping forever.
+    Dirichlet guarantees termination; the search still stops at `ceiling`
+    or after PRIME_RANGE_WIDTH candidates and reports exhaustion explicitly.
     """
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
@@ -278,13 +279,17 @@ def primes_in_progression(
         candidates = range(2, ceiling + 1)
     else:
         candidates = range(1 + d, ceiling + 1, d)
-    for n in candidates:
+    examined = candidates[:PRIME_RANGE_WIDTH]
+    for n in examined:
         if is_prime(n):
             found.append(n)
             if len(found) == count:
                 return found
+    where = f"below {ceiling}"
+    if examined != candidates:
+        where = f"up to {examined[-1]}: the cap of {PRIME_RANGE_WIDTH} candidates stopped it"
     raise SearchExhaustedError(
-        f"found only {len(found)} of {count} primes = 1 mod {d} below {ceiling}"
+        f"found only {len(found)} of {count} primes = 1 mod {d} {where}"
     )
 
 

@@ -183,22 +183,3 @@ def maximize_over_face(face: _Tableau, objective: Sequence[Fraction]) -> LpOutco
     """Exact max objective.x over a face from optimal_face, run from its
     current basis, not from x = 0; UNBOUNDED when the face is."""
     return face.maximize(objective)
-
-
-def optimum_is_unique(lp: LinearProgram) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Whether the optimal face of lp is a single point, and that point: each
-    x_j is maximized and minimized over the face, and the face is a point
-    iff every range collapses.  (A column of zero reduced cost may still
-    only enter by a degenerate pivot that leaves x where it is.)"""
-    _, face = optimal_face(lp)
-    n = lp.num_vars
-    point: list[Fraction] = []
-    for j in range(n):
-        unit = [ONE if i == j else ZERO for i in range(n)]
-        hi = maximize_over_face(face, unit)
-        lo = maximize_over_face(face, [-x for x in unit])
-        if hi.status != OPTIMAL or lo.status != OPTIMAL or hi.value != -lo.value:
-            # unbounded or not a single value along the optimal face
-            return False, None
-        point.append(hi.value)
-    return True, tuple(point)

@@ -30,7 +30,7 @@ from .charp import (
     ThresholdReport,
 )
 from .errors import BudgetExceededError, NotApplicableError, ReductionError
-from .exactnum import carry_free_prefix, multinomial_exact, multinomial_mod_p, truncate
+from .exactnum import carry_free_prefix, multinomial_exact, truncate
 from .polygeo import MonomialSet
 
 ONE = Fraction(1)
@@ -229,53 +229,6 @@ def generic_gap_test(f: FpPoly, ms: MonomialSet | None = None) -> bool:
     theta = theta_for_point(ms, eta, f.p)
     coeffs = [f.terms[mon] for mon in ms.monomials]
     return theta.evaluate_mod_p(coeffs) != 0
-
-
-def restrict_to_minimal_face(f: FpPoly, ms: MonomialSet | None = None) -> FpPoly:
-    """Subpolynomial supported on the minimal-face generators."""
-    ms = _support_of(f, ms)
-    analysis = polygeo.newton_analysis(ms)
-    keep = {ms.monomials[i] for i in analysis.lambda_members}
-    return FpPoly(f.p, f.num_vars, {k: c for k, c in f.terms.items() if k in keep})
-
-
-def fedder_prime_bound(alpha: Fraction, n_power: int, e: int) -> Fraction:
-    """Prime-power threshold B = n_power * alpha / (alpha - 1).
-
-    Contract: if the monomial threshold alpha exceeds 1, the minimal-face
-    part of f has an isolated singularity witnessed by exponent n_power
-    (all x_i^n_power lie in its Jacobian ideal), and p^e > n_power with
-    p^e >= B, then the threshold of f at p is exactly 1.  The exponent e
-    only enters through the caller's comparison against p^e.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 1:
-        raise ValueError(f"bound requires alpha > 1, got {alpha}")
-    if n_power < 1:
-        raise ValueError(f"isolated-singularity exponent must be >= 1, got {n_power}")
-    if e < 1:
-        raise ValueError(f"level must be >= 1, got {e}")
-    return n_power * alpha / (alpha - 1)
-
-
-def unique_point_coefficient(f: FpPoly, e: int, ms: MonomialSet | None = None) -> int:
-    """Coefficient of the distinguished monomial in the truncation power.
-
-    For the unique maximal point eta, the coefficient of x^(p^e E tr) in
-    f^(p^e |tr|), with tr the level-e truncation of eta, is a single
-    multinomial times a monomial in the coefficients -- no expansion needed.
-    """
-    ms = _support_of(f, ms)
-    mp = polygeo.maximal_points(ms)
-    if not mp.unique:
-        raise NotApplicableError("splitting polytope has no unique maximal point")
-    p = f.p
-    q = p**e
-    parts = [int(q * truncate(x, p, e)) for x in mp.point]
-    value = multinomial_mod_p(parts, p)
-    for mon, k in zip(ms.monomials, parts):
-        value = value * pow(f.terms[mon], k, p) % p
-    return value
 
 
 def _certificate_level(point: Sequence[Fraction], p: int) -> int:

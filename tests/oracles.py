@@ -40,6 +40,51 @@ def digits_long_division(alpha: Fraction, p: int, count: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# carry verdicts per residue class of p, in integers
+
+
+def carry_class_oracle(point, p: int):
+    """(L, bound, p_min): the carry verdict for the point eta at the prime p,
+    read off the class r = p mod d, d the lcm of eta's denominators.
+
+    Write eta_i = a_i/d.  After k digits of the non-terminating expansion
+    the remainder of a_i/d is x_k/d, where x_0 = a_i and x_k is the one
+    value in [1, d] with x_k = r*x_(k-1) mod d; digit k is
+    (x_(k-1)*p - x_k)/d.  With S_k the sum of the x_(i,k), position k
+    carries iff (S_(k-1) - d)*p > S_k - d, and for large p the sign of
+    S_(k-1) - d decides that.  The class verdict holds for every p >= p_min
+    in the class: p_min > d, so p and d are coprime and the states repeat
+    after ord_d(r) positions.  L is the number of positions before the
+    first carry (None if there is none), and the bound is
+    sum_i (a_i - x_(i,L)*p^-L)/d + p^-L, or sum(eta) when L is None.
+    """
+    d = math.lcm(*(Fraction(x).denominator for x in point))
+    nums = [int(Fraction(x) * d) for x in point if x]  # 0 has no digits
+    r = p % d
+    p_min = d + 1
+    if math.gcd(r, d) != 1:  # p divides d: below p_min, no class verdict
+        return None, None, p_min
+    order = next(t for t in range(1, d + 1) if pow(r, t, d) == 1 % d)
+    xs = nums
+    for L in range(order):  # position L + 1 carries, or not
+        after = [(r * x - 1) % d + 1 for x in xs]
+        s_prev, s_k = sum(xs), sum(after)
+        if s_prev > d:
+            carries = True
+            p_min = max(p_min, (s_k - d) // (s_prev - d) + 1)
+        elif s_prev < d:
+            carries = False
+            p_min = max(p_min, -((s_k - d) // (d - s_prev)))
+        else:
+            carries = s_k < d
+        if carries:
+            q = p**L
+            return L, Fraction(sum(a * q - x for a, x in zip(nums, xs)) + d, d * q), p_min
+        xs = after
+    return None, Fraction(sum(nums), d), p_min
+
+
+# ---------------------------------------------------------------------------
 # multinomials by factorials
 
 

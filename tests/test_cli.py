@@ -98,7 +98,7 @@ class TestReadmeExamples:
         assert any(got == expected or got.endswith(" " + expected) for got in out.splitlines())
 
     def test_every_arrow_line_is_collected(self):
-        assert sum(bool(_ARROW.match(line)) for line in _readme_command_block()) == 5
+        assert sum(bool(_ARROW.match(line)) for line in _readme_command_block()) == 6
 
     def test_alpha_block(self, capsys):
         lines = _readme_command_block()

@@ -1,0 +1,51 @@
+"""Every public function of the package has a caller inside the package."""
+
+import ast
+import pathlib
+
+import fptkit
+
+# Public functions only the library surface and the tests call.
+LIBRARY_ONLY = (
+    "fpt_is_one",  # a scan reads fpt = 1 off its nu table instead
+    "nu_ideal",  # nu of a monomial ideal, as in fpt((x^p, y^p)) = 2/p
+    "multinomial_mod_p",  # multinomials mod p digit by digit (Lucas)
+)
+
+PACKAGE_DIR = pathlib.Path(fptkit.__file__).parent
+
+
+def _references(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def uncalled_public_functions(package_dir):
+    """Names of the public module-level functions that no code in the
+    package refers to, outside the function's own body and __init__.py."""
+    trees = [
+        ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(package_dir).glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    counts = {}
+    for tree in trees:
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and counts.get(node.name, 0) == sum(name == node.name for name in _references(node))
+    ]
+
+
+def test_every_public_function_has_a_caller():
+    # the exceptions are exactly the uncalled ones, and each is exported
+    assert sorted(uncalled_public_functions(PACKAGE_DIR)) == sorted(LIBRARY_ONLY)
+    assert all(hasattr(fptkit, name) for name in LIBRARY_ONLY)

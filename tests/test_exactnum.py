@@ -1,6 +1,7 @@
 """Digit, truncation, carry, and Lucas-residue behaviour."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,18 @@ class TestPrimes:
     def test_search_ceiling_is_enforced(self):
         with pytest.raises(SearchExhaustedError):
             exactnum.primes_in_progression(6, 3, ceiling=10)
+
+    def test_candidate_cap_stops_a_far_ceiling(self):
+        # a ceiling of 10^11 would mean 5*10^10 candidates; the cap stops
+        # the search after 10^6 of them, at 2*10^6 + 1
+        start = time.perf_counter()
+        with pytest.raises(SearchExhaustedError, match="up to 2000001: the cap of 1000000 candidates"):
+            exactnum.primes_in_progression(2, 10**8, ceiling=10**11)
+        assert time.perf_counter() - start < 15
+        # a count the cap does not reach still answers, whatever the ceiling
+        assert exactnum.primes_in_progression(2, 10, ceiling=10**20) == [
+            3, 5, 7, 11, 13, 17, 19, 23, 29, 31
+        ]
 
     def test_against_sympy(self):
         import sympy

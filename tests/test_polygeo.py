@@ -127,6 +127,36 @@ class TestMaximalPoints:
         out = polygeo.maximal_points(CUSP)
         assert out.unique and out.point == (F(1, 2), F(1, 3))
 
+    def test_unique_behind_degenerate_slack(self):
+        # y, y*z, x*z: the optimum (1, 0, 1) makes all three rows and
+        # s_2 >= 0 tight; the dual optimum (1, 1, 0) on the x, y, z rows
+        # prices s_2 at zero, yet s_2 can only enter by a degenerate pivot
+        out = polygeo.maximal_points(ms((0, 1, 0), (0, 1, 1), (1, 0, 1)))
+        assert out.threshold == 2
+        assert out.unique and out.point == (1, 0, 1)
+
+    def test_against_vertex_oracle(self):
+        # P is bounded (no column of E is zero), so its optimum is unique iff
+        # exactly one vertex attains alpha
+        rng = random.Random(20261019)
+        degenerate = 0
+        for _ in range(300):
+            s = random_monomial_set(rng, max_vars=3, max_monomials=4, max_exp=4)
+            e, n, m = s.exponent_matrix, s.num_monomials, s.num_vars
+            _, alpha, vertices = oracles.lp_vertex_oracle([1] * n, e, [1] * m)
+            optimal = [v for v in vertices if sum(v) == alpha]
+            out = polygeo.maximal_points(s)
+            assert out.threshold == alpha
+            assert out.unique == (len(optimal) == 1), s.monomials
+            if out.unique:
+                point = optimal[0]
+                assert out.point == point
+                tight = sum(x == 0 for x in point) + sum(
+                    sum(a * x for a, x in zip(row, point)) == 1 for row in e
+                )
+                degenerate += tight > n
+        assert degenerate > 0
+
 
 class TestNewtonContains:
     def test_examples(self):

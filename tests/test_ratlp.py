@@ -58,30 +58,6 @@ class TestMaximize:
         assert out.status == OPTIMAL and out.value == 0 and out.witness == ()
 
 
-class TestUniqueness:
-    def test_unique_vertex(self):
-        unique, point = ratlp.optimum_is_unique(lp([1, 1], [[2, 0], [0, 3]], [1, 1]))
-        assert unique and point == (F(1, 2), F(1, 3))
-
-    def test_edge_of_optima(self):
-        unique, point = ratlp.optimum_is_unique(lp([1, 1], [[1, 1]], [1]))
-        assert not unique and point is None
-
-    def test_unique_with_slack_coordinate(self):
-        unique, point = ratlp.optimum_is_unique(lp([1, 0], [[1, 0], [0, 1]], [1, 0]))
-        assert unique and point == (F(1), F(0))
-
-    def test_unique_behind_degenerate_slack(self):
-        # at the optimum x = 1 the slack of x + y <= 1 is basic at zero, so y
-        # has reduced cost 0 yet can only enter by a degenerate pivot
-        unique, point = ratlp.optimum_is_unique(lp([1, 0], [[1, 0], [1, 1]], [1, 1]))
-        assert unique and point == (F(1), F(0))
-
-    def test_requires_optimal(self):
-        with pytest.raises(ValueError):
-            ratlp.optimum_is_unique(lp([1], [[-1]], [1]))
-
-
 def _random_lp(rng):
     n = rng.randint(1, 4)
     m = rng.randint(1, 4)
@@ -142,17 +118,3 @@ class TestAgainstVertexOracle:
                     assert sum(F(a) * x for a, x in zip(row, out.witness)) <= bi
                 assert tuple(out.witness) in vertices
 
-    def test_unique_optimum_coordinates_coincide(self):
-        rng = random.Random(7)
-        checked = 0
-        while checked < 40:
-            c, rows, b = _random_lp(rng)
-            program = lp(c, rows, b)
-            if ratlp.maximize(program).status != OPTIMAL:
-                continue
-            unique, point = ratlp.optimum_is_unique(program)
-            if not unique:
-                continue
-            checked += 1
-            out = ratlp.maximize(program)
-            assert sum(F(cj) * xj for cj, xj in zip(c, point)) == out.value

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from fptkit import charp, exactnum, polygeo, ratlp, thresholds
-from fptkit.charp import EXACT, LOWER_BOUND, FpPoly
+from fptkit.charp import EXACT, LOWER_BOUND
 from fptkit.errors import NotApplicableError, ReductionError
 from fptkit.parsing import parse_polynomial
 from fptkit.polygeo import MonomialSet
@@ -66,6 +66,52 @@ class TestCarryCriterion:
         # digits of (1, 1) carry immediately, so L = 0 and the bound is 1
         verdict = carry_criterion(MonomialSet(2, ((1, 0), (0, 1))), 3)
         assert verdict.kind == LOWER_BOUND and verdict.value == 1 and verdict.L == 0
+
+    @staticmethod
+    def _checked_against_class_oracle(s, primes):
+        """carry_criterion's L and value against the residue-class oracle at
+        every prime past the oracle's p_min; returns the verdicts checked."""
+        point = polygeo.maximal_points(s).point
+        checked = []
+        for p in primes:
+            L, bound, p_min = oracles.carry_class_oracle(point, p)
+            if p < p_min:
+                continue
+            verdict = carry_criterion(s, p)
+            assert (verdict.L, verdict.value) == (L, bound), (s.monomials, p)
+            assert verdict.kind == (EXACT if L is None else LOWER_BOUND)
+            checked.append(verdict)
+        return checked
+
+    @pytest.mark.parametrize(
+        "s,count",
+        [(CUSP, 427), (MonomialSet(3, ((3, 0, 0), (0, 3, 0), (0, 0, 3))), 428)],
+        ids=["cusp", "fermat_cubic"],
+    )
+    def test_against_class_oracle(self, s, count):
+        # x^2, y^3 from p = 7 and the Fermat cubic from p = 5: every prime
+        # below 3000 except those dividing the denominators
+        checked = self._checked_against_class_oracle(s, exactnum.primes_in_range(2, 2999))
+        assert len(checked) == count
+        assert {v.L for v in checked} == {None, 1}
+
+    def test_against_class_oracle_on_random_sets(self):
+        rng = random.Random(20261019)
+        primes = exactnum.primes_in_range(2, 199)
+        sets, positions = 0, set()
+        while sets < 300:
+            m, n = rng.randint(2, 3), rng.randint(2, 4)
+            monomials = set()
+            while len(monomials) < n:
+                v = tuple(rng.randint(0, 5) for _ in range(m))
+                if any(v):
+                    monomials.add(v)
+            s = MonomialSet(m, tuple(sorted(monomials)))
+            if not polygeo.maximal_points(s).unique:
+                continue
+            sets += 1
+            positions |= {v.L for v in self._checked_against_class_oracle(s, primes)}
+        assert {None, 0, 1, 2, 3} <= positions
 
 
 class TestThetaPolynomial:
@@ -161,82 +207,6 @@ class TestGenericGapTest:
         f = fp(7, "3*x^2 + 5*y^3")
         if thresholds.generic_gap_test(f):
             assert charp.certify_lower(f, F(5, 6), 1)
-
-
-class TestRestrictToMinimalFace:
-    def test_drops_interior_generator(self):
-        f = fp(7, "x^2 + y^3 + x^2*y^3")
-        out = thresholds.restrict_to_minimal_face(f)
-        assert sorted(out.terms) == [(0, 3), (2, 0)]
-
-    def test_identity_when_all_on_face(self):
-        f = fp(7, "x^2 + y^3")
-        assert thresholds.restrict_to_minimal_face(f) == f
-
-    def test_line_plus_power(self):
-        f = fp(5, "x + y^4")
-        assert thresholds.restrict_to_minimal_face(f) == f
-
-
-class TestFedderBound:
-    def test_values(self):
-        assert thresholds.fedder_prime_bound(F(4, 3), 2, 1) == 8
-        assert thresholds.fedder_prime_bound(F(2), 1, 1) == 2
-        assert thresholds.fedder_prime_bound(F(3, 2), 3, 1) == 9
-
-    def test_requires_alpha_above_one(self):
-        with pytest.raises(ValueError):
-            thresholds.fedder_prime_bound(F(5, 6), 2, 1)
-
-    def test_contract_on_a_two_variable_example(self):
-        # alpha({x, y^2}) = 3/2 > 1; every p at or above the bound gives fpt 1
-        s = MonomialSet(2, ((1, 0), (0, 2)))
-        alpha = polygeo.splitting_threshold(s)
-        bound = thresholds.fedder_prime_bound(alpha, 2, 1)
-        for p in (3, 5, 7):
-            if p >= bound:
-                assert charp.fpt_is_one(fp(p, "x + y^2"))
-
-
-class TestUniquePointCoefficient:
-    def test_cusp_mod_seven(self):
-        assert thresholds.unique_point_coefficient(fp(7, "x^2+y^3"), 1) == 3
-
-    def test_single_variable(self):
-        f = FpPoly(5, 1, {(1,): 1})
-        assert thresholds.unique_point_coefficient(f, 2) == 1
-
-    def test_weighted_cusp(self):
-        # 10 * 2^3 * 3^2 = 720 = 6 mod 7
-        assert thresholds.unique_point_coefficient(fp(7, "2*x^2+3*y^3"), 1) == 6
-
-    def test_matches_full_expansion_exhaustively(self):
-        # every 2-variable 2-term support with exponents <= 3, all of
-        # p = 3, 5, 7 and e <= 2, with seeded nontrivial coefficients
-        import itertools
-
-        from fptkit.exactnum import truncate
-
-        rng = random.Random(41)
-        mons = [(i, j) for i in range(4) for j in range(4) if (i, j) != (0, 0)]
-        for pair in itertools.combinations(mons, 2):
-            s = MonomialSet(2, tuple(sorted(pair)))
-            mp = polygeo.maximal_points(s)
-            if not mp.unique:
-                continue
-            for p in (3, 5, 7):
-                coeffs = {v: rng.randint(1, p - 1) for v in s.monomials}
-                f = FpPoly(p, 2, coeffs)
-                for e in (1, 2):
-                    fast = thresholds.unique_point_coefficient(f, e)
-                    tr = [truncate(x, p, e) for x in mp.point]
-                    power = int(sum(tr) * p**e)
-                    target = tuple(
-                        int(sum(s.exponent_matrix[i][j] * tr[j] for j in range(2)) * p**e)
-                        for i in range(2)
-                    )
-                    expanded = oracles.poly_pow(dict(f.terms), power, p, 2)
-                    assert expanded.get(target, 0) == fast
 
 
 # One row of each kind a scan can produce: the full JSON row and its
