@@ -21,7 +21,6 @@ from .exactnum import (
     CarryProfile,
     DigitStream,
     carry_free_prefix,
-    digit,
     digit_stream,
     multinomial_mod_p,
     primes_in_progression,

@@ -10,6 +10,7 @@ Rationals print as reduced a/b, never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -278,6 +279,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # on the first main call, not at import; every later call reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fptkit",
@@ -297,19 +299,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("alpha", help="threshold of a monomial ideal via the splitting polytope")
     p.add_argument("monomials")
     add_vars(p)
-    p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("lct", help="log canonical threshold via the Newton polyhedron")
     p.add_argument("monomials")
     add_vars(p)
-    p.set_defaults(func=cmd_lct)
 
     p = sub.add_parser("newton", help="minimal face and diagonal-position analysis")
     p.add_argument("monomials")
     add_vars(p)
     p.add_argument("--contains", help="rational point 'a,b,...' to test for membership "
                    "(a leading minus needs '=', as in --contains=-1,5)")
-    p.set_defaults(func=cmd_newton)
 
     def add_poly_opts(p):
         p.add_argument("polynomial")
@@ -326,25 +325,21 @@ def _build_parser() -> argparse.ArgumentParser:
     add_poly_opts(p)
     p.add_argument("-e", type=int, required=True)
     p.add_argument("--table", action="store_true", help="print all levels up to e")
-    p.set_defaults(func=cmd_nu)
 
     p = sub.add_parser("bracket", help="two-sided threshold bracket up to a level")
     add_poly_opts(p)
     p.add_argument("-e", type=int, required=True, help="largest level to compute")
-    p.set_defaults(func=cmd_bracket)
 
     p = sub.add_parser("certify", help="prove fpt >= lambda or fpt < lambda at a level")
     add_poly_opts(p)
     p.add_argument("--lambda", dest="lam", required=True, help="rational a/b in [0,1]")
     p.add_argument("-e", type=int, required=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("theta", help="leading coefficient polynomial on the minimal face")
     p.add_argument("monomials")
     p.add_argument("-p", "--prime", type=int, required=True)
     p.add_argument("-e", type=int, required=True)
     add_vars(p)
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("scan", help="per-prime threshold reports with certificates")
     p.add_argument("polynomial")
@@ -359,22 +354,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, help="worker pool size")
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--drop-support", action="store_true")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("primes", help="smallest primes congruent to 1 mod d")
     p.add_argument("-d", "--modulus", type=int, required=True)
     p.add_argument("-k", "--count", type=int, required=True)
     p.add_argument("--ceiling", type=int, default=exactnum.PRIME_SEARCH_CEILING)
-    p.set_defaults(func=cmd_primes)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so a cmd_* replaced after the parser was built runs
+    commands = {
+        "alpha": cmd_alpha, "lct": cmd_lct, "newton": cmd_newton, "nu": cmd_nu,
+        "bracket": cmd_bracket, "certify": cmd_certify, "theta": cmd_theta,
+        "scan": cmd_scan, "primes": cmd_primes,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ParseError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return EXIT_PARSE

@@ -92,24 +92,6 @@ def _check_unit_interval(alpha: Fraction, where: str) -> Fraction:
     return alpha
 
 
-def digit(alpha: Fraction, p: int, e: int) -> int:
-    """e-th digit of alpha in base p, non-terminating convention.
-
-    digit(alpha, p, 0) = 0 and digit(0, p, e) = 0 by convention.
-    """
-    _check_prime(p)
-    alpha = _check_unit_interval(alpha, "digit")
-    if e < 0:
-        raise ValueError(f"digit index must be >= 0, got {e}")
-    if e == 0 or alpha == 0:
-        return 0
-    # p**e * truncate(alpha, p, e) = ceil(p**e * alpha) - 1, so the digit is
-    # the difference of consecutive scaled truncations.
-    hi = math.ceil(alpha * p**e) - 1
-    lo = math.ceil(alpha * p ** (e - 1)) - 1
-    return hi - p * lo
-
-
 def truncate(alpha: Fraction, p: int, e: int) -> Fraction:
     """Sum of the first e digit terms of alpha in base p.
 

@@ -146,6 +146,15 @@ def theta_polynomial(ms: MonomialSet, p: int, e: int) -> CoefficientPolynomial:
         )
     total = total.numerator
     members = analysis.lambda_members
+    # Each coefficient is a multinomial of that total over r members, so it is
+    # below r^total; 2^total passes 10^4300 once total > 14285.  Refused before
+    # any point is enumerated, as CPython could not print a 4300-digit value.
+    r = len(members)
+    if r > 1 and (total > 14285 or r**total > 10**4300):
+        raise ValueError(
+            f"theta at p={p}, e={e}: a multinomial of total (p^e - 1) * alpha over "
+            f"{r} members could pass 10^4300, so its coefficients could not be printed"
+        )
     columns = [ms.monomials[i] for i in members]
     target = [q - 1] * ms.num_vars
     terms: dict[tuple[int, ...], int] = {}

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from fptkit import cli
 from fptkit.cli import main
 
 
@@ -246,6 +247,43 @@ class TestTheta:
     def test_theta_not_applicable_exit_4(self, capsys):
         code, _, err = run(capsys, "theta", "x^2, y^3", "-p", "2", "-e", "1")
         assert code == 4 and "not an integer" in err
+
+    @pytest.mark.parametrize("prime,level", [("101", "2"), ("7", "6")])
+    def test_unprintable_coefficients_exit_4_before_work(self, capsys, prime, level):
+        # 3 members: 3^10200 at p=101, and a total of 117648 at p=7
+        start = time.perf_counter()
+        code, out, err = run(capsys, "theta", "x^2, y^2, x*y", "-p", prime, "-e", level)
+        assert code == 4 and out == ""
+        assert f"theta at p={prime}, e={level}:" in err and "could pass 10^4300" in err
+        assert time.perf_counter() - start < 5
+
+    def test_single_member_is_never_refused(self, capsys):
+        code, out, _ = run(capsys, "theta", "x", "-p", "7", "-e", "6")
+        assert code == 0 and out.startswith("theta(p=7, e=6) = t1^117648\n")
+
+
+class TestParserReuse:
+    ARGV = ("alpha", "x^2, y^3, x*y*z")
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_call_is_byte_identical(self, capsys):
+        first = run(capsys, *self.ARGV)
+        with pytest.raises(SystemExit) as usage:
+            main(["alpha"])  # missing positional
+        assert usage.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "theta", "x^2, y^3", "-p", "2", "-e", "1")[0] == 4
+        assert run(capsys, *self.ARGV) == first
+        assert first[0] == 0 and first[1].startswith("alpha = ")
+
+    def test_command_replaced_after_build_is_the_one_run(self, capsys, monkeypatch):
+        cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_alpha", lambda args: seen.append(args.monomials) or 7)
+        assert run(capsys, *self.ARGV) == (7, "", "")
+        assert seen == ["x^2, y^3, x*y*z"]
 
 
 class TestPrimes:

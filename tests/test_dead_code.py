@@ -15,25 +15,29 @@ LIBRARY_ONLY = (
 PACKAGE_DIR = pathlib.Path(fptkit.__file__).parent
 
 
-def _references(node):
+def _references(node, modules):
+    """Bare names, and attributes of a package module (exactnum.truncate):
+    a method call such as s.digit(e) is not a call of a function digit."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in modules
+        ):
             yield sub.attr
 
 
 def uncalled_public_functions(package_dir):
     """Names of the public module-level functions that no code in the
     package refers to, outside the function's own body and __init__.py."""
-    trees = [
-        ast.parse(path.read_text())
-        for path in sorted(pathlib.Path(package_dir).glob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    paths = sorted(pathlib.Path(package_dir).glob("*.py"))
+    modules = {path.stem for path in paths}
+    trees = [ast.parse(path.read_text()) for path in paths if path.name != "__init__.py"]
     counts = {}
     for tree in trees:
-        for name in _references(tree):
+        for name in _references(tree, modules):
             counts[name] = counts.get(name, 0) + 1
     return [
         node.name
@@ -41,7 +45,7 @@ def uncalled_public_functions(package_dir):
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
-        and counts.get(node.name, 0) == sum(name == node.name for name in _references(node))
+        and counts.get(node.name, 0) == sum(name == node.name for name in _references(node, modules))
     ]
 
 
@@ -49,3 +53,18 @@ def test_every_public_function_has_a_caller():
     # the exceptions are exactly the uncalled ones, and each is exported
     assert sorted(uncalled_public_functions(PACKAGE_DIR)) == sorted(LIBRARY_ONLY)
     assert all(hasattr(fptkit, name) for name in LIBRARY_ONLY)
+
+
+def test_a_method_of_the_same_name_is_not_a_call(tmp_path):
+    (tmp_path / "digits.py").write_text(
+        "def digit(x):\n    return x\n\n\ndef tens(x):\n    return digit(x)\n"
+    )
+    (tmp_path / "streams.py").write_text(
+        "from . import digits\n\n\n"
+        "def first(s):\n    return s.digit(1)\n\n\n"
+        "def last(s):\n    return digits.tens(s)\n"
+    )
+    # digit is called by name, tens through its module; first and last by nobody
+    assert sorted(uncalled_public_functions(tmp_path)) == ["first", "last"]
+    (tmp_path / "digits.py").write_text("def digit(x):\n    return x\n")
+    assert sorted(uncalled_public_functions(tmp_path)) == ["digit", "first", "last"]

@@ -25,34 +25,38 @@ unit_fractions = st.builds(
 
 
 class TestDigit:
+    # DigitStream.digit is the digit that carry_free_prefix reads
     def test_one_has_constant_digits(self):
+        s = exactnum.digit_stream(F(1), 7)
         for e in range(1, 12):
-            assert exactnum.digit(F(1), 7, e) == 6
+            assert s.digit(e) == 6
 
     def test_constant_expansion_when_scaled_is_integral(self):
         # (p-1) * alpha integral forces the constant digit (p-1)*alpha
+        s = exactnum.digit_stream(F(1, 2), 5)
         for e in range(1, 12):
-            assert exactnum.digit(F(1, 2), 5, e) == 2
+            assert s.digit(e) == 2
 
     def test_third_base_five(self):
-        assert exactnum.digit(F(1, 3), 5, 1) == 1
-        assert exactnum.digit(F(1, 3), 5, 2) == 3
+        s = exactnum.digit_stream(F(1, 3), 5)
+        assert s.digit(1) == 1
+        assert s.digit(2) == 3
 
     def test_conventions(self):
-        assert exactnum.digit(F(0), 5, 3) == 0
-        assert exactnum.digit(F(2, 3), 5, 0) == 0
+        assert exactnum.digit_stream(F(0), 5).digit(3) == 0
+        assert exactnum.digit_stream(F(2, 3), 5).digit(0) == 0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            exactnum.digit(F(3, 2), 5, 1)
+            exactnum.digit_stream(F(3, 2), 5)
         with pytest.raises(ValueError):
-            exactnum.digit(F(1, 2), 6, 1)
+            exactnum.digit_stream(F(1, 2), 6)
 
     @given(alpha=unit_fractions, p=st.sampled_from(PRIMES), e=st.integers(1, 24))
     @settings(max_examples=250, deadline=None)
     def test_matches_long_division_oracle(self, alpha, p, e):
         expected = oracles.digits_long_division(alpha, p, e)[e - 1]
-        assert exactnum.digit(alpha, p, e) == expected
+        assert exactnum.digit_stream(alpha, p).digit(e) == expected
 
 
 class TestTruncate:
@@ -110,8 +114,8 @@ class TestDigitStream:
     def test_round_trip_and_digit_agreement(self, alpha, p):
         s = exactnum.digit_stream(alpha, p)
         assert s.evaluate() == alpha
-        for e in range(0, 12):
-            assert s.digit(e) == exactnum.digit(alpha, p, e)
+        expected = [0, *oracles.digits_long_division(alpha, p, 11)]
+        assert [s.digit(e) for e in range(0, 12)] == expected
 
     @given(alpha=unit_fractions.filter(lambda a: a > 0), p=st.sampled_from(PRIMES))
     @settings(max_examples=150, deadline=None)
