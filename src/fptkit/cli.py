@@ -36,19 +36,6 @@ EXIT_IO = 6
 
 _fmt = exactnum.format_rational
 
-# CPython's default int-to-str limit is 4300 digits, so values at a level
-# with p^e past 10^4300 could not be printed; 2^e passes it once e > 14285.
-_PRINTABLE_LEVELS = 10**4300
-
-
-def _check_printable(p: int, e: int, flag: str) -> None:
-    """Refuse, before any work, a level whose values could not be printed."""
-    if e > 14285 or p**e > _PRINTABLE_LEVELS:
-        raise ValueError(
-            f"{flag} {e} at p={p}: p^e passes 10^4300, so values at this level "
-            "would have more than 4300 digits and could not be printed"
-        )
-
 
 def _point_text(point) -> str:
     return "(" + ", ".join(_fmt(x) for x in point) + ")"
@@ -83,12 +70,12 @@ def cmd_lct(args) -> int:
 
 def cmd_newton(args) -> int:
     ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
-    if args.contains:  # answered first, so a bad point prints nothing
+    if args.contains is not None:  # answered first, so a bad point prints nothing
         point = [exactnum.parse_rational(part) for part in args.contains.split(",")]
         inside = polygeo.newton_contains(ms, point)
     print(f"alpha = {_fmt(polygeo.splitting_threshold(ms))}")
     _print_minimal_face(ms)
-    if args.contains:
+    if args.contains is not None:
         print(f"contains {_point_text(point)}: {'yes' if inside else 'no'}")
     return EXIT_OK
 
@@ -100,7 +87,7 @@ def _reduced_input(args) -> charp.FpPoly:
 
 def cmd_nu(args) -> int:
     fp = _reduced_input(args)
-    _check_printable(args.prime, args.e, "-e")
+    exactnum.check_printable_level(args.prime, args.e, "-e")
     budget = TermBudget(args.budget)
     if args.table:
         table = charp.nu_table(fp, args.e, budget)
@@ -113,7 +100,7 @@ def cmd_nu(args) -> int:
 
 def cmd_bracket(args) -> int:
     fp = _reduced_input(args)
-    _check_printable(args.prime, args.e, "-e")
+    exactnum.check_printable_level(args.prime, args.e, "-e")
     report = charp.bracket(fp, args.e, TermBudget(args.budget))
     if report.nu_values is not None:
         for e, v in enumerate(report.nu_values.values, start=1):
@@ -243,7 +230,7 @@ def cmd_scan(args) -> int:
     primes = _scan_primes(args, config)
     if primes:
         flag = "--e-max" if args.e_max is not None else "e_max"
-        _check_printable(max(primes), e_max, flag)
+        exactnum.check_printable_level(max(primes), e_max, flag)
 
     f = parsing.parse_polynomial(args.polynomial, num_vars=args.vars or None)
     rows = thresholds.dense_fpurity_scan(

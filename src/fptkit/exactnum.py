@@ -275,6 +275,22 @@ def primes_in_progression(
     )
 
 
+def passes_printable(base: int, exp: int) -> bool:
+    """Whether base^exp > 10^4300 (base >= 2), past CPython's 4300-digit
+    int-to-str limit.  2^exp passes it once exp > 14285, so a huge exp is
+    answered without computing base^exp."""
+    return exp > 14285 or base**exp > 10**4300
+
+
+def check_printable_level(p: int, e: int, name: str) -> None:
+    """Refuse, before any work, a level whose values could not be printed."""
+    if passes_printable(p, e):
+        raise ValueError(
+            f"{name} {e} at p={p}: p^e passes 10^4300, so values at this level "
+            "would have more than 4300 digits and could not be printed"
+        )
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical reduced a/b text form (plain integer when b = 1)."""
     return str(Fraction(q))

@@ -74,8 +74,9 @@ class MonomialSet:
     @functools.cached_property
     def geometry(self) -> tuple[MaximalPointResult, NewtonAnalysis]:
         """Maximal points and minimal face, read off the optimal face
-        F = {s in P : |s| = alpha} of one splitting LP solve kept here.  F
-        lies in [0,1]^n, so it is one point iff max s_i = min s_i on F, all i.
+        F = {s in P : |s| = alpha} of one splitting LP solve kept here.  With
+        h_i = max s_i over F, every s in F has s <= h and |s| = alpha, so F is
+        one point, h, iff |h| = alpha.
 
         The dual optima of  max |s|  subject to  E s <= 1, s >= 0  are the
         y >= 0 with E^T y >= 1 and |y| = alpha, i.e. y.a_i >= 1 = y.v for
@@ -85,25 +86,20 @@ class MonomialSet:
         (Goldman-Tucker) some maximal point s* pairs with y*: s*_i > 0 iff
         y*.a_i = 1, and (E s*)_k < 1 iff y*_k = 0.  So
 
-        * a_i lies on the minimal face iff s_i > 0 at some maximal point,
-          i.e. max s_i over F is positive;
+        * a_i lies on the minimal face iff h_i > 0;
         * e_k lies in the face's recession cone (y*_k = 0) iff row k has
           slack at some maximal point; the face is bounded -- diagonal
-          position -- iff min (E s)_k over F is 1 for every k.
+          position -- iff each (E s)_k <= 1 is 1 on F, that is, iff their
+          sum, sum_i deg(a_i) s_i, has min m over F.
         """
         alpha, face = ratlp.optimal_face(splitting_polytope(self))
         n = self.num_monomials
         units = [[ONE if i == j else ZERO for i in range(n)] for j in range(n)]
         highest = [ratlp.maximize_over_face(face, u).value for u in units]
-        unique = all(
-            ratlp.maximize_over_face(face, [-x for x in u]).value == -hi
-            for u, hi in zip(units, highest)
-        )
+        unique = sum(highest) == alpha
         members = tuple(j for j in range(n) if highest[j] > 0)
-        diagonal = all(
-            ratlp.maximize_over_face(face, [-a for a in row]).value == -1
-            for row in self.exponent_matrix
-        )
+        least = -ratlp.maximize_over_face(face, [-sum(a) for a in self.monomials]).value
+        diagonal = least == self.num_vars
         if not members and diagonal:
             raise AssertionError(
                 "internal inconsistency: empty minimal face cannot be bounded"

@@ -135,6 +135,7 @@ def theta_polynomial(ms: MonomialSet, p: int, e: int) -> CoefficientPolynomial:
     exactnum._check_prime(p)
     if e < 1:
         raise ValueError(f"level must be >= 1, got {e}")
+    exactnum.check_printable_level(p, e, "theta level")
     analysis = polygeo.newton_analysis(ms)
     if not analysis.diagonal_position:
         raise NotApplicableError("Newton polyhedron is not in diagonal position")
@@ -147,10 +148,9 @@ def theta_polynomial(ms: MonomialSet, p: int, e: int) -> CoefficientPolynomial:
     total = total.numerator
     members = analysis.lambda_members
     # Each coefficient is a multinomial of that total over r members, so it is
-    # below r^total; 2^total passes 10^4300 once total > 14285.  Refused before
-    # any point is enumerated, as CPython could not print a 4300-digit value.
+    # below r^total.  Refused before any point is enumerated.
     r = len(members)
-    if r > 1 and (total > 14285 or r**total > 10**4300):
+    if r > 1 and exactnum.passes_printable(r, total):
         raise ValueError(
             f"theta at p={p}, e={e}: a multinomial of total (p^e - 1) * alpha over "
             f"{r} members could pass 10^4300, so its coefficients could not be printed"

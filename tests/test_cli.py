@@ -66,10 +66,14 @@ class TestAlphaLctNewton:
 
     @pytest.mark.parametrize(
         "point, message",
-        [("1/0,1", "zero denominator"), ("1", "point has 1 coordinates, expected 2")],
+        [
+            ("1/0,1", "zero denominator"),
+            ("1", "point has 1 coordinates, expected 2"),
+            ("", "Invalid literal for Fraction: ''"),  # --contains= is not ignored
+        ],
     )
     def test_newton_bad_point_exit_4_prints_nothing(self, capsys, point, message):
-        code, out, err = run(capsys, "newton", "x^2, y^3", "--contains", point)
+        code, out, err = run(capsys, "newton", "x^2, y^3", f"--contains={point}")
         assert code == 4 and out == ""
         assert message in err
 
@@ -215,6 +219,9 @@ class TestNuBracketCertify:
             (["nu", "x", "-p", "2", "-e", "14285"], "-e 14285 at p=2"),
             (["bracket", "x+y", "-p", "2", "-e", "15000"], "-e 15000 at p=2"),
             (["scan", "x+y", "--primes", "3,2", "--e-max", "9100"], "--e-max 9100 at p=3"),
+            # refused before theta computes p^e
+            (["theta", "x^2", "-p", "7", "-e", "30000000"], "theta level 30000000 at p=7"),
+            (["theta", "x^2", "-p", "7", "-e", "100000000"], "theta level 100000000 at p=7"),
         ],
     )
     def test_unprintable_level_exit_4_before_work(self, capsys, argv, named):

@@ -287,6 +287,13 @@ class TestPrimes:
             exactnum.primes_in_range(2, width + 2)
 
 
+class TestPrintable:
+    def test_bound_is_ten_to_the_4300(self):
+        assert not exactnum.passes_printable(10, 4300)
+        assert exactnum.passes_printable(10, 4301)
+        assert exactnum.passes_printable(7, 10**18)  # answered without 7^(10^18)
+
+
 class TestRationalText:
     def test_round_trip(self):
         for q in (F(5, 6), F(-3, 7), F(4), F(0)):

@@ -337,10 +337,17 @@ class TestNewtonAnalysis:
         monkeypatch.setattr(
             ratlp.LinearProgram, "__post_init__", lambda lp: programs.append(lp) or post_init(lp)
         )
+        runs = []
+        over_face = ratlp.maximize_over_face
+        monkeypatch.setattr(
+            ratlp, "maximize_over_face", lambda face, c: runs.append(c) or over_face(face, c)
+        )
         for _ in range(2):
             polygeo.splitting_threshold(s)
             polygeo.maximal_points(s)
             polygeo.newton_analysis(s)
+            # n + 1 face runs on the first round, none once cached
+            assert len(runs) == s.num_monomials + 1
         # one solve; no face question builds an LP
         assert solves == programs == [polytope]
 
