@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import exactnum
 from .errors import BudgetExceededError, IntegralityError, ReductionError
@@ -397,6 +397,12 @@ def bracket(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> Threshol
             budget_exhausted=True,
             notes=["term budget exhausted before any nu level completed"],
         )
+    return _bracket_report(p, values, exhausted)
+
+
+def _bracket_report(p: int, values: Sequence[int], exhausted: bool = False) -> ThresholdReport:
+    """BRACKET report of nu(1), ..., nu(len(values)), which must not be empty:
+    the threshold lies in (max nu(e)/p^e, min (nu(e)+1)/p^e]."""
     low = max(Fraction(v, p**e) for e, v in enumerate(values, start=1))
     high = min(Fraction(v + 1, p**e) for e, v in enumerate(values, start=1))
     report = ThresholdReport(

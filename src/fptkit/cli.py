@@ -71,8 +71,11 @@ def cmd_lct(args) -> int:
 def cmd_newton(args) -> int:
     ms = parsing.parse_monomials(args.monomials, num_vars=args.vars or None)
     if args.contains is not None:  # answered first, so a bad point prints nothing
-        point = [exactnum.parse_rational(part) for part in args.contains.split(",")]
-        inside = polygeo.newton_contains(ms, point)
+        try:
+            point = [exactnum.parse_rational(part) for part in args.contains.split(",")]
+            inside = polygeo.newton_contains(ms, point)
+        except ValueError as ex:
+            raise ValueError(f"--contains: {ex}") from None
     print(f"alpha = {_fmt(polygeo.splitting_threshold(ms))}")
     _print_minimal_face(ms)
     if args.contains is not None:
@@ -117,7 +120,10 @@ def cmd_bracket(args) -> int:
 
 def cmd_certify(args) -> int:
     fp = _reduced_input(args)
-    lam = exactnum.parse_rational(args.lam)
+    try:
+        lam = exactnum.parse_rational(args.lam)
+    except ValueError as ex:
+        raise ValueError(f"--lambda: {ex}") from None
     ok = charp.certify_lower(fp, lam, args.e, TermBudget(args.budget))
     if ok:
         print(f"PROVED fpt >= {_fmt(lam)}")

@@ -153,8 +153,17 @@ def lattice_points(
     columns, each entry counting down from its per-column bound (the residual
     bound and the remaining total cap it).  A branch is cut once the columns
     still open cannot make up the remaining total even at those bounds.
+
+    When exact and the last two columns u != v differ, they are solved in
+    closed form: k*u + (remaining - k)*v = residual fixes k from any row i
+    with u_i != v_i, and the one point is kept iff k is an integer in
+    [0, remaining] and every row checks.  So each choice of the first n - 2
+    entries costs one node instead of a loop over k with a leaf per value.
     """
     n = len(columns)
+    split = None  # a row where the last two columns differ; None runs the loop
+    if exact and n >= 2:
+        split = next((i for i, (a, b) in enumerate(zip(columns[-2], columns[-1])) if a != b), None)
 
     def col_bound(col: Sequence[int], residual: Sequence[int], remaining: int) -> int:
         ub = remaining
@@ -167,6 +176,14 @@ def lattice_points(
         if j == n:
             if remaining == 0 and not (exact and any(residual)):
                 yield prefix
+            return
+        if j == n - 2 and split is not None:
+            u, v = columns[j], columns[j + 1]
+            k, rest = divmod(residual[split] - remaining * v[split], u[split] - v[split])
+            if not rest and 0 <= k <= remaining and all(
+                k * a + (remaining - k) * b == r for a, b, r in zip(u, v, residual)
+            ):
+                yield prefix + (k, remaining - k)
             return
         col = columns[j]
         later = sum(col_bound(c, residual, remaining) for c in columns[j + 1 :])

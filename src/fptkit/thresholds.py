@@ -308,15 +308,11 @@ def _scan_one_prime(
             prime=p, claim=REDUCTION_ERROR, error="all coefficients vanish mod p"
         )
 
-    # One budget caps the row: the bracket's sweep and a certificate
-    # replayed past the levels that sweep completed.
-    budget = TermBudget(budget_limit)
-    report = charp.bracket(fp, e_max, budget)
-    nu = report.nu_values.values if report.nu_values is not None else ()
     notes: list[str] = []
     exact: Fraction | None = None
     lower: Fraction | None = None
     level: int | None = None  # of the certificate (level, exact) to confirm
+    witnessed = False  # the gap test proved nu(1) = p - 1
 
     # the support-driven criteria speak about polynomials with the *full*
     # support; a model that dropped terms only gets direct computations
@@ -339,11 +335,23 @@ def _scan_one_prime(
         if alpha <= 1:
             try:
                 if generic_gap_test(fp, ms):
-                    exact, level = alpha, 1
+                    exact, level, witnessed = alpha, 1, alpha == 1
                 else:
                     notes.append("coefficient polynomial vanishes mod p (inconclusive)")
             except NotApplicableError as ex:
                 notes.append(f"gap test not applicable: {ex.reason}")
+
+    # One budget caps the row: the bracket's sweep and a certificate
+    # replayed past the levels that sweep completed.
+    budget = TermBudget(budget_limit)
+    if witnessed:
+        # The gap test's surviving monomial x^((p-1)E eta) has every exponent
+        # <= p - 1 and a nonzero coefficient in f^(p-1), so nu(1) = p - 1 and
+        # nu(e) = p^e - 1 at every level (Fedder; Blickle-Mustata-Smith).
+        report = charp._bracket_report(p, [p**e - 1 for e in range(1, e_max + 1)])
+    else:
+        report = charp.bracket(fp, e_max, budget)
+    nu = report.nu_values.values if report.nu_values is not None else ()
 
     # Above alpha = 1 the threshold is 1 exactly when nu(1) = p - 1 (Fedder).
     # lower == 1 implies alpha > 1: a carry at L + 1 puts sum trunc_L + p^-L below alpha.
@@ -459,6 +467,8 @@ def dense_fpurity_scan(
         raise ValueError("cannot scan the zero polynomial")
     ms = support_monomials(f)
     polygeo.maximal_points(ms)  # solved here, once, before any worker starts
+    if e_max < 1:
+        raise ValueError(f"e_max must be >= 1, got {e_max}")
     ordered = sorted(set(primes))
 
     def work(p: int) -> ScanRow:

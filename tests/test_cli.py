@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, files, config handling."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -76,6 +77,11 @@ class TestAlphaLctNewton:
         code, out, err = run(capsys, "newton", "x^2, y^3", f"--contains={point}")
         assert code == 4 and out == ""
         assert message in err
+
+    def test_bad_contains_names_its_flag(self, capsys):
+        code, out, err = run(capsys, "newton", "x^2, y^3", "--contains=")
+        assert code == 4 and out == ""
+        assert err == "error: --contains: Invalid literal for Fraction: ''\n"
 
     def test_invalid_monomials_exit_3(self, capsys):
         code, _, err = run(capsys, "alpha", "x^2, x^2")
@@ -186,6 +192,13 @@ class TestNuBracketCertify:
         assert code == 4 and out == ""
         assert "zero denominator" in err
 
+    def test_bad_lambda_names_its_flag(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "x^2+y^3", "-p", "7", "--lambda", "abc", "-e", "1"
+        )
+        assert code == 4 and out == ""
+        assert err == "error: --lambda: Invalid literal for Fraction: 'abc'\n"
+
     @pytest.mark.parametrize("text", ["x^²+y", "x²+y"])
     def test_superscript_digit_exit_2(self, capsys, text):
         code, out, err = run(capsys, "nu", text, "-p", "5", "-e", "1")
@@ -263,6 +276,17 @@ class TestTheta:
         assert code == 4 and out == ""
         assert f"theta at p={prime}, e={level}:" in err and "could pass 10^4300" in err
         assert time.perf_counter() - start < 5
+
+    def test_large_conic_theta_is_fast_and_unchanged(self, capsys):
+        # 4001 points; the exact lattice search solves its last two columns in
+        # closed form (about 1 s on a 2-CPU x86-64 VM, 5.6 s by the loop)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "theta", "x^2, y^2, x*y", "-p", "4001", "-e", "1")
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "254799c0677114c925d80f4aa6ae9819af673553381e2f491b0784a6de9c071b"
+        )
 
     def test_single_member_is_never_refused(self, capsys):
         code, out, _ = run(capsys, "theta", "x", "-p", "7", "-e", "6")

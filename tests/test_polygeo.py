@@ -92,6 +92,47 @@ class TestLatticePoints:
             got = list(polygeo.lattice_points(columns, bound, total, exact=exact))
             assert got == self.brute_force(columns, bound, total, exact)
 
+    def test_exact_closed_form_against_product_in_order(self):
+        # bound = E k for a drawn k, so most cases have points; some bounds
+        # are nudged off, and some last two columns are made equal
+        rng = random.Random(16)
+        seen = {"equal": 0, "negative": 0, "several": 0}
+        for trial in range(600):
+            m, n = rng.randint(1, 3), rng.randint(1, 4)
+            columns = [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(n)]
+            if n >= 2 and trial % 4 == 0:
+                columns[-1] = columns[-2]
+            k = [rng.randint(0, 3) for _ in range(n)]
+            bound = [sum(c[i] * x for c, x in zip(columns, k)) for i in range(m)]
+            if trial % 5 == 0:
+                bound[rng.randrange(m)] += 1
+            got = list(polygeo.lattice_points(columns, bound, sum(k), exact=True))
+            assert got == self.brute_force(columns, bound, sum(k), True)
+            if n >= 2 and got:
+                diff = [a - b for a, b in zip(columns[-2], columns[-1])]
+                seen["equal"] += not any(diff)
+                seen["negative"] += next((d for d in diff if d), 0) < 0
+                seen["several"] += len(got) > 1
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize(
+        "columns, bound, total, points",
+        [
+            # k = -1 and k = 2 solve every row but leave [0, remaining]
+            ([(1,), (2,)], [3], 1, []),
+            ([(2,), (1,)], [3], 1, []),
+            # row 0 gives k = 1; row 1 then fails
+            ([(1, 1), (0, 1)], [1, 5], 1, []),
+            # u_0 - v_0 = -2 < 0, three points in descending order
+            ([(2, 0), (1, 1), (0, 2)], [4, 4], 4, [(2, 0, 2), (1, 2, 1), (0, 4, 0)]),
+            # equal last two columns fall through to the loop
+            ([(1, 2), (1, 1), (1, 1)], [3, 4], 3, [(1, 2, 0), (1, 1, 1), (1, 0, 2)]),
+        ],
+    )
+    def test_exact_closed_form_cases(self, columns, bound, total, points):
+        assert list(polygeo.lattice_points(columns, bound, total, exact=True)) == points
+        assert points == self.brute_force(columns, bound, total, True)
+
     def test_degenerate_inputs(self):
         assert list(polygeo.lattice_points([], [0], 0, exact=True)) == [()]
         assert list(polygeo.lattice_points([], [1], 0, exact=True)) == []

@@ -254,6 +254,17 @@ _ROW_KINDS = [
         id="gap-exact",
     ),
     pytest.param(
+        # the gap test's witness gives nu(1) = p - 1 without expanding, so a
+        # budget of 1 term no longer ends the row (it was LOWER_BOUND_ONLY,
+        # budget exhausted, with no nu and no certificate)
+        "x^2+x*y+y^2", 5, 2, 1, True,
+        {"prime": 5, "claim": "CERTIFIED_EXACT", "kind": "EXACT", "value": "1",
+         "bracket_low": "24/25", "bracket_high": "1", "nu": [4, 24],
+         "witness": True, "notes": ["no unique maximal point"]},
+        [(1, "1")],
+        id="gap-exact-witness-needs-no-budget",
+    ),
+    pytest.param(
         "x^2+2*x*y+y^2", 3, 2, charp.DEFAULT_TERM_BUDGET, True,
         {"prime": 3, "claim": "BRACKET_ONLY", "kind": "BRACKET",
          "bracket_low": "4/9", "bracket_high": "5/9", "nu": [1, 4],
@@ -384,6 +395,48 @@ class TestScan:
             if row.claim == CERTIFIED_EXACT:
                 assert row.value == 1
 
+    @pytest.mark.parametrize(
+        "text, p, expands",
+        [("x^2+x*y+y^2", 5, False), ("x^2+2*x*y+y^2", 3, True)],
+        ids=["gap-certified", "gap-inconclusive"],
+    )
+    def test_gap_certified_row_never_multiplies(self, monkeypatch, text, p, expands):
+        calls = []
+        multiply = charp.FpPoly.multiply
+        monkeypatch.setattr(
+            charp.FpPoly, "multiply", lambda *args: calls.append(1) or multiply(*args)
+        )
+        (row,) = dense_fpurity_scan(parse_polynomial(text), [p], e_max=2)
+        assert row.claim == (BRACKET_ONLY if expands else CERTIFIED_EXACT)
+        assert bool(calls) == expands
+
+    def test_gap_certified_nu_matches_expansion(self):
+        # random supports in two variables with alpha = 1 and no unique
+        # maximal point, and (x + y)^2, whose gap test is inconclusive
+        rng = random.Random(16)
+        pool = [(a, b) for a in range(4) for b in range(4) if 0 < a + b <= 3]
+        polys = [parse_polynomial("x^2+2*x*y+y^2")]
+        while len(polys) < 9:
+            ms = MonomialSet(2, tuple(sorted(rng.sample(pool, rng.randint(2, 4)))))
+            geometry = polygeo.maximal_points(ms)
+            if not geometry.unique and geometry.threshold == 1:
+                polys.append(charp.QPoly(2, {mon: rng.randint(1, 60) for mon in ms.monomials}))
+        kinds = set()
+        for f in polys:
+            for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]:
+                e_max = 2 if p <= 7 else 1
+                (row,) = dense_fpurity_scan(f, [p], e_max=e_max)
+                if row.claim == REDUCTION_ERROR:
+                    continue
+                kinds.add(row.claim)
+                expected = oracles.nu_expansion_oracle(
+                    charp.reduce_mod_p(f, p).terms, p, range(1, e_max + 1), 2
+                )
+                assert row.report.nu_values.values == tuple(
+                    expected[e] for e in range(1, e_max + 1)
+                ), (f, p)
+        assert kinds == {CERTIFIED_EXACT, BRACKET_ONLY}
+
     def test_square_binomial_is_inconclusive_then_bracketed(self):
         # (x+y)^2 over F_3 has threshold 1/2; the gap test is inconclusive
         # and the bracket closes in on 1/2 without ever touching it
@@ -414,6 +467,12 @@ class TestScan:
     def test_rejects_composite_input(self):
         with pytest.raises(ValueError):
             dense_fpurity_scan(parse_polynomial("x"), [4], e_max=1)
+
+    @pytest.mark.parametrize("text", ["x^2+y^3", "x^2+x*y+y^2"])
+    def test_rejects_level_below_one(self, text):
+        # the second is a gap-certified row, whose nu table is never swept
+        with pytest.raises(ValueError, match="e_max must be >= 1, got 0"):
+            dense_fpurity_scan(parse_polynomial(text), [5], e_max=0)
 
     @pytest.mark.parametrize("e_max", [1, 3])
     def test_exact_certificate_at_deeper_level(self, e_max):
