@@ -71,28 +71,45 @@ class FpPoly:
         return self.terms.get((0,) * self.num_vars, 0)
 
     def multiply(self, other: "FpPoly", budget: TermBudget | None = None) -> "FpPoly":
-        """self * other, charged to budget with the length of the product as
-        built, zero coefficients included, times the 64-bit words of a packed
-        key; a product that would pass what is left of the budget stops after
-        the row that passes it, and the charge raises."""
+        """self * other, charged to budget with the length of the unreduced
+        product, zero coefficients included, times the 64-bit words of a
+        packed key.  The result keeps only the nonzero terms inside self's
+        level box, so a boxed _Packed self reduces as it multiplies; a public
+        operand has no box.  When len(self) * len(other) terms fit in what is
+        left of the budget, the product cannot pass it and is built column by
+        column; any other is built row by row, stops after the row that
+        passes the budget, and the charge raises."""
         if self.p != other.p or self.num_vars != other.num_vars:
             raise ValueError("cannot multiply polynomials over different rings")
         a, b = self, other  # the nu engine's operands come packed, at one width
         if not isinstance(self, _Packed):
             top = max((x for g in (self, other) for k in g.terms for x in k), default=0)
             a, b = _Packed(self, top.bit_length() + 2), _Packed(other, top.bit_length() + 2)
-        p, row, out = self.p, list(b.terms.items()), {}
-        get, words = out.get, (self.num_vars * a.width + 63) // 64 or 1
+        p, rows, cols = self.p, a.terms.items(), list(b.terms.items())
+        words = (self.num_vars * a.width + 63) // 64 or 1
         room = math.inf if budget is None else (budget.limit - budget.used) // words
-        for k1, c1 in a.terms.items():
-            for k2, c2 in row:
-                k = k1 + k2
-                out[k] = (get(k, 0) + c1 * c2) % p
-            if len(out) > room:
-                break
+        by_columns = len(rows) * len(cols) <= room  # then the product cannot pass the budget
+        out = {k1 + cols[0][0]: c1 * cols[0][1] for k1, c1 in rows} if by_columns and cols else {}
+        get = out.get
+        if by_columns:  # b's first term above, then one column per further term
+            for k2, c2 in cols[1:]:
+                for k1, c1 in rows:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        else:  # row by row, up to the row that passes the budget, mod p at
+            # each step: this path takes the products nearest the limit, and
+            # values below p < 257 are CPython's cached ints, so cost no memory
+            for k1, c1 in rows:
+                for k2, c2 in cols:
+                    k = k1 + k2
+                    out[k] = (get(k, 0) + c1 * c2) % p
+                if len(out) > room:
+                    break
         if budget is not None:
             budget.charge(len(out) * words)
-        result = _Packed(a, a.width, {k: c for k, c in out.items() if c})
+        off, high = a.box
+        terms = {k: v for k, c in out.items() if not (k + off) & high and (v := c % p)}
+        result = _Packed(a, a.width, terms, a.box)
         return result if a is self else result.unpacked()
 
     __mul__ = multiply
@@ -115,14 +132,24 @@ class FpPoly:
 class _Packed(FpPoly):
     """FpPoly with each exponent vector packed into one int, `width` bits per
     variable, every field below 2^(width-1): adding keys adds exponents, and a
-    field is >= q <= 2^(width-1) iff adding 2^(width-1) - q sets its top bit."""
+    field is >= q <= 2^(width-1) iff adding 2^(width-1) - q sets its top bit.
+    box holds the two masks (off, high) of the level box [0, q)^m that its
+    terms lie in (see level_box): k is inside iff not (k + off) & high.  The
+    default (0, 0) is no box, and keeps every key."""
 
-    __slots__ = ("width",)
+    __slots__ = ("width", "box")
 
-    def __init__(self, f: FpPoly, width: int, terms: dict[int, int] | None = None):
+    def __init__(self, f: FpPoly, width: int, terms: dict[int, int] | None = None,
+                 box: tuple[int, int] = (0, 0)):
         if terms is None:  # f's own terms, packed; else the given ones, over f's ring
             terms = {sum(a << i * width for i, a in enumerate(k)): c for k, c in f.terms.items()}
-        self.p, self.num_vars, self.width, self.terms = f.p, f.num_vars, width, terms
+        self.p, self.num_vars, self.width, self.terms, self.box = f.p, f.num_vars, width, terms, box
+
+    def level_box(self, q: int) -> tuple[int, int]:
+        """The masks (off, high) of the box [0, q)^m at this width."""
+        w = self.width
+        ones = ((1 << self.num_vars * w) - 1) // ((1 << w) - 1)  # a 1 in each field
+        return ones * ((1 << w - 1) - q), ones << w - 1
 
     def unpacked(self) -> FpPoly:
         mask, fields = (1 << self.width) - 1, range(0, self.num_vars * self.width, self.width)
@@ -193,9 +220,8 @@ def frobenius_reduce(g: FpPoly, e: int) -> FpPoly:
         raise ValueError(f"Frobenius level must be >= 1, got {e}")
     q = g.p**e
     if isinstance(g, _Packed):
-        ones = ((1 << g.num_vars * g.width) - 1) // ((1 << g.width) - 1)  # a 1 in each field
-        off, high = ones * ((1 << g.width - 1) - q), ones << g.width - 1
-        return _Packed(g, g.width, {k: c for k, c in g.terms.items() if not (k + off) & high})
+        off, high = box = g.level_box(q)
+        return _Packed(g, g.width, {k: c for k, c in g.terms.items() if not (k + off) & high}, box)
     return FpPoly(g.p, g.num_vars, {k: c for k, c in g.terms.items() if all(a < q for a in k)})
 
 
@@ -246,6 +272,8 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
 
     It runs on _Packed polynomials whose fields hold p^e_max - 1 plus the
     largest exponent of f, since each multiply is by the full, unreduced f.
+    r carries the box of its level, so the step r.multiply(f) reduces inside
+    the product; frobenius_reduce runs only on f, at most once per level.
 
     With stop, the last level quits once its exponent reaches stop, so its
     value is no longer nu(e_max), but it reaches stop exactly when nu(e_max)
@@ -260,13 +288,14 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
         if e > 1 and best == q // p - 1:  # nu(e-1) = p^(e-1) - 1, so fpt = 1
             best = limit
         elif best:  # fields of r are < p^(e-1), so times p they stay < p^e
-            best, r = p * best, _Packed(r, r.width, {k * p: c for k, c in r.terms.items()})
+            twist = {k * p: c for k, c in r.terms.items()}
+            best, r = p * best, _Packed(r, r.width, twist, f.level_box(q))
         else:
             r = frobenius_reduce(f, e)
             best = 0 if r.is_zero() else 1
         while 0 < best < limit:
             try:
-                nxt = frobenius_reduce(r.multiply(f, budget), e)
+                nxt = r.multiply(f, budget)
             except BudgetExceededError as ex:
                 raise BudgetExceededError(f"{ex} at p={p}, level e={e}, exponent a={best + 1}") from None
             if nxt.is_zero():

@@ -178,6 +178,19 @@ class TestNuBracketCertify:
         assert code == 5 and out == "" and "budget" in err
         assert time.perf_counter() - start < 5
 
+    def test_readme_exhaustion_line(self, capsys):
+        # the budget paragraph of README quotes this line word for word
+        line = (
+            "budget exhausted: term budget exhausted (5000293 > 5000000)"
+            " at p=2, level e=15, exponent a=16383"
+        )
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        assert line in " ".join(readme.read_text(encoding="utf-8").split())
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nu", "x^2+y^3", "-p", "2", "-e", "5000")
+        assert code == 5 and out == "" and err == line + "\n"
+        assert time.perf_counter() - start < 10
+
     def test_prime_past_primality_limit_exit_4(self, capsys):
         code, out, err = run(
             capsys, "nu", "x+y", "-p", "318665857834031151167461", "-e", "1"
