@@ -78,7 +78,8 @@ class FpPoly:
         operand has no box.  When len(self) * len(other) terms fit in what is
         left of the budget, the product cannot pass it and is built column by
         column; any other is built row by row, stops after the row that
-        passes the budget, and the charge raises."""
+        passes the budget, and the charge raises.  Both reduce each
+        coefficient mod p as it accumulates."""
         if self.p != other.p or self.num_vars != other.num_vars:
             raise ValueError("cannot multiply polynomials over different rings")
         a, b = self, other  # the nu engine's operands come packed, at one width
@@ -89,16 +90,14 @@ class FpPoly:
         words = (self.num_vars * a.width + 63) // 64 or 1
         room = math.inf if budget is None else (budget.limit - budget.used) // words
         by_columns = len(rows) * len(cols) <= room  # then the product cannot pass the budget
-        out = {k1 + cols[0][0]: c1 * cols[0][1] for k1, c1 in rows} if by_columns and cols else {}
+        out = {k1 + cols[0][0]: c1 * cols[0][1] % p for k1, c1 in rows} if by_columns and cols else {}
         get = out.get
         if by_columns:  # b's first term above, then one column per further term
             for k2, c2 in cols[1:]:
                 for k1, c1 in rows:
                     k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        else:  # row by row, up to the row that passes the budget, mod p at
-            # each step: this path takes the products nearest the limit, and
-            # values below p < 257 are CPython's cached ints, so cost no memory
+                    out[k] = (get(k, 0) + c1 * c2) % p
+        else:  # row by row, up to the row that passes the budget
             for k1, c1 in rows:
                 for k2, c2 in cols:
                     k = k1 + k2
@@ -108,7 +107,7 @@ class FpPoly:
         if budget is not None:
             budget.charge(len(out) * words)
         off, high = a.box
-        terms = {k: v for k, c in out.items() if not (k + off) & high and (v := c % p)}
+        terms = {k: c for k, c in out.items() if c and not (k + off) & high}
         result = _Packed(a, a.width, terms, a.box)
         return result if a is self else result.unpacked()
 

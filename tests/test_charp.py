@@ -330,6 +330,7 @@ class TestMultiply:
             product = boxed.multiply(charp._Packed(b, width), budget)
             assert budget.used - before == built * words
             assert product.box == boxed.box
+            assert all(0 < c < p for c in product.terms.values())  # packed, yet reduced
             assert product.unpacked() == charp.frobenius_reduce(a.multiply(b), e), (a, b, e)
         assert min(paths.values()) >= 20, paths
 
