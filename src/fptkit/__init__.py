@@ -18,10 +18,7 @@ from .charp import (
     reduce_mod_p,
 )
 from .exactnum import (
-    CarryProfile,
-    DigitStream,
     carry_free_prefix,
-    digit_stream,
     multinomial_mod_p,
     primes_in_progression,
     truncate,

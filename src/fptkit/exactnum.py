@@ -11,7 +11,7 @@ bounds lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,104 +108,27 @@ def truncate(alpha: Fraction, p: int, e: int) -> Fraction:
     return Fraction(math.ceil(alpha * q) - 1, q)
 
 
-@dataclass(frozen=True)
-class DigitStream:
-    """Eventually periodic digit sequence of a rational in [0, 1].
+def carry_free_prefix(alphas: Sequence[Fraction], p: int) -> int | None:
+    """Number of leading positions at which the digits of the alphas add
+    without carrying, or None when they never carry.
 
-    The sequence is preperiod followed by period repeated forever; period is
-    never empty.  Reconstructing the value from the digits is exact.
-    """
-
-    base: int
-    value: Fraction
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def digit(self, e: int) -> int:
-        """e-th digit, 1-indexed; e = 0 gives 0 by convention."""
-        if e <= 0:
-            return 0
-        if e <= len(self.preperiod):
-            return self.preperiod[e - 1]
-        return self.period[(e - len(self.preperiod) - 1) % len(self.period)]
-
-    def evaluate(self) -> Fraction:
-        """Exact value of the (infinite) digit sequence."""
-        p = self.base
-        pre = ZERO
-        for i, a in enumerate(self.preperiod, start=1):
-            pre += Fraction(a, p**i)
-        n = 0
-        for a in self.period:
-            n = n * p + a
-        tail = Fraction(n, p ** len(self.period) - 1)
-        return pre + tail / p ** len(self.preperiod)
-
-
-def digit_stream(alpha: Fraction, p: int) -> DigitStream:
-    """Finite presentation of the non-terminating base-p expansion of alpha.
-
-    Digits are produced from the remainder orbit r -> p*r - digit, where the
-    remainders live in (0, 1] for alpha > 0 (this is what encodes the
-    non-terminating convention); the orbit revisits a state after at most
-    denominator(alpha) + 1 steps.
+    With alpha = n/d, d the lcm of the denominators, the next digit is
+    (p*n - 1) // d and the next remainder p*n - digit*d, in (0, d]; 0 stays
+    0.  The remainders decide every later digit, so the first joint state
+    seen twice ends the scan.
     """
     _check_prime(p)
-    alpha = _check_unit_interval(alpha, "digit_stream")
-    digits: list[int] = []
-    seen: dict[Fraction, int] = {}
-    state = alpha
+    values = [_check_unit_interval(a, "carry_free_prefix") for a in alphas]
+    d = math.lcm(*(a.denominator for a in values))
+    state = tuple(a.numerator * (d // a.denominator) for a in values)
+    seen = set()
     while state not in seen:
-        seen[state] = len(digits)
-        if state == 0:
-            a = 0
-        else:
-            a = math.ceil(p * state) - 1
-        digits.append(a)
-        state = p * state - a
-    start = seen[state]
-    return DigitStream(
-        base=p,
-        value=alpha,
-        preperiod=tuple(digits[:start]),
-        period=tuple(digits[start:]),
-    )
-
-
-@dataclass(frozen=True)
-class CarryProfile:
-    """Result of the carry-free prefix scan for a tuple of rationals.
-
-    L is the largest index e such that the digit sums at every position
-    d <= e stay below the base (None means the digits add without carrying
-    forever).  L >= 0 always, by the digit(., 0) = 0 convention.
-    """
-
-    base: int
-    inputs: tuple[Fraction, ...]
-    L: int | None
-
-    @property
-    def carry_free(self) -> bool:
-        return self.L is None
-
-
-def carry_free_prefix(alphas: Sequence[Fraction], p: int) -> CarryProfile:
-    """Longest prefix on which the digits of the alphas add without carrying.
-
-    Scans one aligned preperiod-plus-period window of the joint digit
-    streams; the digit sums repeat afterwards, so the scan decides whether
-    the prefix is finite or infinite.
-    """
-    _check_prime(p)
-    values = tuple(Fraction(a) for a in alphas)
-    streams = [digit_stream(a, p) for a in values]
-    pre = max((len(s.preperiod) for s in streams), default=0)
-    per = math.lcm(*(len(s.period) for s in streams)) if streams else 1
-    for e in range(1, pre + per + 1):
-        if sum(s.digit(e) for s in streams) > p - 1:
-            return CarryProfile(base=p, inputs=values, L=e - 1)
-    return CarryProfile(base=p, inputs=values, L=None)
+        seen.add(state)
+        digits = [(p * n - 1) // d if n else 0 for n in state]
+        if sum(digits) > p - 1:
+            return len(seen) - 1
+        state = tuple(p * n - a * d for n, a in zip(state, digits))
+    return None
 
 
 def multinomial_mod_p(parts: Sequence[int], p: int) -> int:
@@ -297,9 +220,14 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; accepts 'a/b' and plain integers.  Malformed
-    text and a zero denominator raise ValueError."""
+    """Inverse of format_rational; accepts 'a/b' and plain integers, each
+    with an optional sign and surrounding whitespace.  Anything else (a
+    decimal, an exponent such as 1e30000000) and a zero denominator raise
+    ValueError."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None

@@ -76,10 +76,9 @@ def carry_criterion(ms: MonomialSet, p: int) -> CarryVerdict:
     mp = polygeo.maximal_points(ms)
     if not mp.unique:
         raise NotApplicableError("splitting polytope has no unique maximal point")
-    profile = carry_free_prefix(mp.point, p)
-    if profile.carry_free:
+    L = carry_free_prefix(mp.point, p)
+    if L is None:
         return CarryVerdict(L=None, kind=EXACT, value=mp.threshold)
-    L = profile.L
     bound = sum(truncate(x, p, L) for x in mp.point) + Fraction(1, p**L)
     return CarryVerdict(L=L, kind=LOWER_BOUND, value=bound)
 

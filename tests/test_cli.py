@@ -212,6 +212,22 @@ class TestNuBracketCertify:
         assert code == 4 and out == ""
         assert err == "error: --lambda: Invalid literal for Fraction: 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("newton", "x^2, y^3", "--contains=1e30000000,1"), "--contains"),
+            (("certify", "x^2+y^3", "-p", "7", "--lambda", "1e-30000000", "-e", "1"), "--lambda"),
+        ],
+    )
+    def test_exponent_notation_exit_4_at_once(self, capsys, argv, flag):
+        # a rational is a/b or an integer: reading 1e30000000 as a number
+        # would build a 30-million-digit integer before any check
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: {flag}: Invalid literal for Fraction: ")
+
     @pytest.mark.parametrize("text", ["x^²+y", "x²+y"])
     def test_superscript_digit_exit_2(self, capsys, text):
         code, out, err = run(capsys, "nu", text, "-p", "5", "-e", "1")

@@ -1,4 +1,5 @@
-"""Every public function of the package has a caller inside the package."""
+"""Every public function and class of the package is referred to inside the
+package."""
 
 import ast
 import pathlib
@@ -29,9 +30,10 @@ def _references(node, modules):
             yield sub.attr
 
 
-def uncalled_public_functions(package_dir):
-    """Names of the public module-level functions that no code in the
-    package refers to, outside the function's own body and __init__.py."""
+def unreferenced_public(package_dir, kind):
+    """Names of the public module-level definitions of the given kind
+    (ast.FunctionDef or ast.ClassDef) that no code in the package refers to,
+    outside the definition's own body and __init__.py."""
     paths = sorted(pathlib.Path(package_dir).glob("*.py"))
     modules = {path.stem for path in paths}
     trees = [ast.parse(path.read_text()) for path in paths if path.name != "__init__.py"]
@@ -43,7 +45,7 @@ def uncalled_public_functions(package_dir):
         node.name
         for tree in trees
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, kind)
         and not node.name.startswith("_")
         and counts.get(node.name, 0) == sum(name == node.name for name in _references(node, modules))
     ]
@@ -51,8 +53,13 @@ def uncalled_public_functions(package_dir):
 
 def test_every_public_function_has_a_caller():
     # the exceptions are exactly the uncalled ones, and each is exported
-    assert sorted(uncalled_public_functions(PACKAGE_DIR)) == sorted(LIBRARY_ONLY)
+    assert sorted(unreferenced_public(PACKAGE_DIR, ast.FunctionDef)) == sorted(LIBRARY_ONLY)
     assert all(hasattr(fptkit, name) for name in LIBRARY_ONLY)
+
+
+def test_every_public_class_has_a_reference():
+    # a call, an annotation, a base class or an except clause counts
+    assert unreferenced_public(PACKAGE_DIR, ast.ClassDef) == []
 
 
 def test_a_method_of_the_same_name_is_not_a_call(tmp_path):
@@ -65,6 +72,18 @@ def test_a_method_of_the_same_name_is_not_a_call(tmp_path):
         "def last(s):\n    return digits.tens(s)\n"
     )
     # digit is called by name, tens through its module; first and last by nobody
-    assert sorted(uncalled_public_functions(tmp_path)) == ["first", "last"]
+    assert sorted(unreferenced_public(tmp_path, ast.FunctionDef)) == ["first", "last"]
     (tmp_path / "digits.py").write_text("def digit(x):\n    return x\n")
-    assert sorted(uncalled_public_functions(tmp_path)) == ["digit", "first", "last"]
+    assert sorted(unreferenced_public(tmp_path, ast.FunctionDef)) == ["digit", "first", "last"]
+
+
+def test_an_unreferenced_class_is_flagged(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "class Box:\n    def grow(self):\n        return Box()\n\n\n"
+        "class Ball:\n    pass\n\n\n"
+        "class _Hidden:\n    pass\n\n\n"
+        "def make() -> Ball:\n    return make()\n"
+    )
+    # Ball appears in an annotation; Box only inside its own body
+    assert unreferenced_public(tmp_path, ast.ClassDef) == ["Box"]
+    assert unreferenced_public(tmp_path, ast.FunctionDef) == ["make"]

@@ -1,4 +1,4 @@
-"""Digit, truncation, carry, and Lucas-residue behaviour."""
+"""Truncation, carry, Lucas-residue, prime and rational-text behaviour."""
 
 import random
 import time
@@ -22,41 +22,6 @@ unit_fractions = st.builds(
     st.integers(min_value=0, max_value=400),
     st.integers(min_value=1, max_value=400),
 )
-
-
-class TestDigit:
-    # DigitStream.digit is the digit that carry_free_prefix reads
-    def test_one_has_constant_digits(self):
-        s = exactnum.digit_stream(F(1), 7)
-        for e in range(1, 12):
-            assert s.digit(e) == 6
-
-    def test_constant_expansion_when_scaled_is_integral(self):
-        # (p-1) * alpha integral forces the constant digit (p-1)*alpha
-        s = exactnum.digit_stream(F(1, 2), 5)
-        for e in range(1, 12):
-            assert s.digit(e) == 2
-
-    def test_third_base_five(self):
-        s = exactnum.digit_stream(F(1, 3), 5)
-        assert s.digit(1) == 1
-        assert s.digit(2) == 3
-
-    def test_conventions(self):
-        assert exactnum.digit_stream(F(0), 5).digit(3) == 0
-        assert exactnum.digit_stream(F(2, 3), 5).digit(0) == 0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            exactnum.digit_stream(F(3, 2), 5)
-        with pytest.raises(ValueError):
-            exactnum.digit_stream(F(1, 2), 6)
-
-    @given(alpha=unit_fractions, p=st.sampled_from(PRIMES), e=st.integers(1, 24))
-    @settings(max_examples=250, deadline=None)
-    def test_matches_long_division_oracle(self, alpha, p, e):
-        expected = oracles.digits_long_division(alpha, p, e)[e - 1]
-        assert exactnum.digit_stream(alpha, p).digit(e) == expected
 
 
 class TestTruncate:
@@ -90,54 +55,33 @@ class TestTruncate:
         assert (q - 1) * alpha == q * exactnum.truncate(alpha, p, e)
 
 
-class TestDigitStream:
-    @pytest.mark.parametrize(
-        "alpha,p,pre,per",
-        [
-            (F(1, 3), 5, (), (1, 3)),
-            (F(1, 2), 3, (), (1,)),
-            (F(1, 3), 2, (), (0, 1)),
-            (F(1), 7, (), (6,)),
-            (F(0), 7, (), (0,)),
-        ],
-    )
-    def test_known_streams(self, alpha, p, pre, per):
-        s = exactnum.digit_stream(alpha, p)
-        assert (s.preperiod, s.period) == (pre, per)
-
-    def test_window_is_bounded_by_denominator(self):
-        s = exactnum.digit_stream(F(97, 360), 7)
-        assert len(s.preperiod) + len(s.period) <= 361
-
-    @given(alpha=unit_fractions, p=st.sampled_from(PRIMES))
-    @settings(max_examples=250, deadline=None)
-    def test_round_trip_and_digit_agreement(self, alpha, p):
-        s = exactnum.digit_stream(alpha, p)
-        assert s.evaluate() == alpha
-        expected = [0, *oracles.digits_long_division(alpha, p, 11)]
-        assert [s.digit(e) for e in range(0, 12)] == expected
-
-    @given(alpha=unit_fractions.filter(lambda a: a > 0), p=st.sampled_from(PRIMES))
-    @settings(max_examples=150, deadline=None)
-    def test_never_eventually_zero(self, alpha, p):
-        s = exactnum.digit_stream(alpha, p)
-        assert any(d != 0 for d in s.period)
-
-
 class TestCarryFreePrefix:
     def test_constant_digit_pairs(self):
-        assert exactnum.carry_free_prefix([F(1, 2), F(1, 3)], 7).carry_free
-        assert exactnum.carry_free_prefix([F(1, 2), F(1, 3)], 5).L == 1
+        assert exactnum.carry_free_prefix([F(1, 2), F(1, 3)], 7) is None
+        assert exactnum.carry_free_prefix([F(1, 2), F(1, 3)], 5) == 1
 
     def test_half_plus_half_base_two(self):
         # digits of 1/2 in base 2 are 0,1,1,...; the first carry is at e = 2
-        profile = exactnum.carry_free_prefix([F(1, 2), F(1, 2)], 2)
-        assert profile.L == 1
+        assert exactnum.carry_free_prefix([F(1, 2), F(1, 2)], 2) == 1
 
     def test_empty_and_single(self):
-        assert exactnum.carry_free_prefix([], 5).carry_free
+        assert exactnum.carry_free_prefix([], 5) is None
         # a single rational never carries against itself
-        assert exactnum.carry_free_prefix([F(3, 7)], 5).carry_free
+        assert exactnum.carry_free_prefix([F(3, 7)], 5) is None
+
+    def test_edge_remainders(self):
+        # an entry 0 has remainder 0 and digit 0 forever: it never carries
+        assert exactnum.carry_free_prefix([F(0), F(3, 7)], 5) is None
+        # an entry 1 has remainder d and digit p - 1 forever: it carries at
+        # the first position where another entry's digit is nonzero
+        assert exactnum.carry_free_prefix([F(1), F(1, 25)], 5) == 2  # 1/25 = 0.004444...
+        assert exactnum.carry_free_prefix([F(1), F(1, 2)], 3) == 0  # 1/2 = 0.1111...
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError, match="3/2 outside"):
+            exactnum.carry_free_prefix([F(1, 3), F(3, 2)], 5)
+        with pytest.raises(ValueError, match="base must be prime"):
+            exactnum.carry_free_prefix([F(1, 2)], 6)
 
     @given(
         alphas=st.lists(unit_fractions, min_size=1, max_size=4),
@@ -155,11 +99,8 @@ class TestCarryFreePrefix:
             ),
             None,
         )
-        profile = exactnum.carry_free_prefix(alphas, p)
-        if first_bad is None:
-            assert profile.carry_free
-        else:
-            assert profile.L == first_bad - 1
+        L = exactnum.carry_free_prefix(alphas, p)
+        assert L == (None if first_bad is None else first_bad - 1)
 
     @given(
         scaled=st.lists(st.integers(0, 12), min_size=1, max_size=4),
@@ -170,9 +111,8 @@ class TestCarryFreePrefix:
         # with every (p-1)*alpha integral, carry-free iff the scaled sum
         # stays below the base
         alphas = [F(min(k, p - 1), p - 1) for k in scaled]
-        profile = exactnum.carry_free_prefix(alphas, p)
         expected = sum((p - 1) * a for a in alphas) <= p - 1
-        assert profile.carry_free == expected
+        assert (exactnum.carry_free_prefix(alphas, p) is None) == expected
 
 
 class TestMultinomialModP:
@@ -305,13 +245,18 @@ class TestRationalText:
         with pytest.raises(ValueError, match="zero denominator"):
             exactnum.parse_rational("1/0")
 
-    def test_lcm_window_consistency(self):
-        # spot-check that digits really repeat with the stream's period
-        s = exactnum.digit_stream(F(5, 14), 3)
-        pre, per = len(s.preperiod), len(s.period)
-        for e in range(pre + 1, pre + 2 * per + 1):
-            assert s.digit(e) == s.digit(e + per)
+    @pytest.mark.parametrize(
+        "text, value",
+        [(" 5/6 ", F(5, 6)), ("-3/7", F(-3, 7)), ("+4", F(4)), ("007/014", F(1, 2))],
+    )
+    def test_signed_integers_and_quotients(self, text, value):
+        assert exactnum.parse_rational(text) == value
 
-    def test_one_has_all_max_digits(self):
-        s = exactnum.digit_stream(F(1), 5)
-        assert set(s.period) == {4} and not s.preperiod
+    @pytest.mark.parametrize(
+        "text", ["1e30000000", "1e-30000000", "0.5", "1_000", "1/-2", "1 / 2", "", "٣"]
+    )
+    def test_anything_else_is_refused(self, text):
+        # Fraction(text) reads an exponent or a decimal, and 1e30000000
+        # would build a 30-million-digit integer first
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: "):
+            exactnum.parse_rational(text)

@@ -374,6 +374,27 @@ class TestScan:
         assert rows[0].error is not None
         assert rows[1].claim == LOWER_BOUND_ONLY
 
+    @pytest.mark.parametrize(
+        "text, count",
+        [("x^2+y^3", 38), ("3*x^2+5*y^3+x*y^2", 38), ("x^3+y^3+z^3", 39)],
+    )
+    def test_carry_rows_against_class_oracle(self, text, count):
+        # every full-support row past the oracle's p_min reports the class
+        # verdict: the bound, or alpha when the digits never carry, and the L
+        f = parse_polynomial(text)
+        point = polygeo.maximal_points(thresholds.support_monomials(f)).point
+        checked = 0
+        for row in dense_fpurity_scan(f, exactnum.primes_in_range(2, 180), e_max=1):
+            L, bound, p_min = oracles.carry_class_oracle(point, row.prime)
+            notes = row.report.notes if row.report else []
+            if row.prime < p_min or "support changed" in " ".join(notes):
+                continue
+            assert row.value == (sum(point) if L is None else bound), (text, row.prime)
+            named = [n for n in notes if n.startswith("carry criterion bound")]
+            assert named == ([] if L is None else [f"carry criterion bound with L = {L}"])
+            checked += 1
+        assert checked == count
+
     def test_certificates_replay(self):
         # carry-criterion rows, gap-test rows and alpha > 1 rows (bound 1)
         cases = [("x^2+y^3", [7, 13]), ("x^2+x*y+y^2", [5, 7]), ("x+y^2", [3, 5, 7])]
