@@ -7,6 +7,7 @@ polynomial modulo that ideal just drops such terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,8 @@ class TermBudget:
     """Monotone term counter shared by the expansion routines.
 
     Exhaustion raises instead of truncating, so a runaway expansion can
-    never silently produce a wrong answer.
+    never silently produce a wrong answer.  It also counts the nu sweep's
+    products, and how many of them ran on a dense level's packed integer.
     """
 
     def __init__(self, limit: int = DEFAULT_TERM_BUDGET):
@@ -31,6 +33,8 @@ class TermBudget:
             raise ValueError(f"budget must be positive, got {limit}")
         self.limit = limit
         self.used = 0
+        self.products = 0
+        self.packed_products = 0
 
     def charge(self, amount: int) -> None:
         self.used += amount
@@ -150,10 +154,99 @@ class _Packed(FpPoly):
         ones = ((1 << self.num_vars * w) - 1) // ((1 << w) - 1)  # a 1 in each field
         return ones * ((1 << w - 1) - q), ones << w - 1
 
+    def exponents(self, k: int) -> tuple[int, ...]:
+        mask = (1 << self.width) - 1
+        return tuple(k >> i & mask for i in range(0, self.num_vars * self.width, self.width))
+
     def unpacked(self) -> FpPoly:
-        mask, fields = (1 << self.width) - 1, range(0, self.num_vars * self.width, self.width)
-        terms = {tuple(k >> i & mask for i in fields): c for k, c in self.terms.items()}
-        return FpPoly(self.p, self.num_vars, terms)
+        return FpPoly(self.p, self.num_vars, {self.exponents(k): c for k, c in self.terms.items()})
+
+
+class _Grid:
+    """The layout of a dense level q = p^e: one int with a w-bit slot per cell
+    of the box [o, q + d), o the least corner of the level's running power
+    and d_i the largest exponent of x_i in f.  The cell of exponent k is slot
+    sum (k_i - o_i) * stride_i.  Every later power keeps its terms in
+    [o, q) (f has no negative exponent), so its product by f stays in the
+    box, and f's term x^k shifts every slot by w * sum k_i * stride_i.
+
+    A slot of a product sums at most len(f) terms below p^2, so it stays
+    below 2^b; with S = b + bits(p) and M = 2^S // p + 1, (v * M) >> S is
+    v // p for every v < 2^b (Barrett), and v * M < 2^(b+S) fits in a slot
+    of w > b + S bits, so one multiply reduces every slot at once."""
+
+    def __init__(self, f: _Packed, q: int, corner: Sequence[int], dims: Sequence[int]):
+        p = self.p = f.p
+        b = (len(f.terms) * (p - 1) ** 2).bit_length()
+        self.shift = b + p.bit_length()
+        self.magic = (1 << self.shift) // p + 1
+        wb = self.bytes = -(-(b + self.shift + 1) // 8)  # whole bytes, for int.from_bytes
+        w, self.size = 8 * wb, (p - 1).bit_length() + 7 >> 3  # the bytes of a coefficient
+        strides = [math.prod(dims[:i]) for i in range(len(dims))]
+        self.f, self.cells, self.words = f, math.prod(dims), (f.num_vars * f.width + 63) // 64 or 1
+        self.corner, self.strides, self.dims = corner, strides, dims
+        self.steps = [(c, w * sum(a * t for a, t in zip(f.exponents(k), strides)))
+                      for k, c in f.terms.items()]
+        ones = int.from_bytes((b"\x01" + bytes(wb - 1)) * self.cells, "little")
+        nz = (p - 1).bit_length()  # a slot v < p plus 2^nz - 1 sets bit nz iff v > 0
+        self.fill, self.high = ones * ((1 << nz) - 1), ones << nz
+        self.low = ones * ((1 << w - self.shift) - 1)  # the quotient's bits in each slot
+        box = b"\xff" * wb  # every slot of [o, q): q - o cells of each row, then the rest
+        for o, n in zip(corner, dims):
+            box = box * (q - o) + bytes(len(box) * (n - q + o))
+        self.box = int.from_bytes(box, "little")
+
+    def pack(self, r: _Packed) -> "_Dense":
+        """r, whose terms lie in [o, q), on this grid."""
+        wb, size, strides = self.bytes, self.size, self.strides
+        base = sum(o * t for o, t in zip(self.corner, strides))
+        buf = bytearray(self.cells * wb)
+        for k, c in r.terms.items():
+            i = wb * (sum(a * t for a, t in zip(r.exponents(k), strides)) - base)
+            buf[i:i + size] = c.to_bytes(size, "little")
+        return _Dense(self, int.from_bytes(buf, "little"))
+
+    def reduce(self, x: int) -> int:
+        """x with every slot, each below 2^b, taken mod p."""
+        return x - (x * self.magic >> self.shift & self.low) * self.p
+
+
+class _Dense:
+    """A running power on its level's _Grid: value holds its coefficients."""
+
+    __slots__ = ("grid", "value")
+
+    def __init__(self, grid: _Grid, value: int):
+        self.grid, self.value = grid, value
+
+    def is_zero(self) -> bool:
+        return not self.value
+
+    def times_f(self, budget: TermBudget) -> "_Dense":
+        """self * f reduced at the level, charged before it is built with
+        the product's distinct keys times the words of one packed key, as
+        FpPoly.multiply charges the same product."""
+        g, r = self.grid, self.value
+        hit, keys = (r + g.fill) & g.high, 0  # one bit in each nonzero slot
+        for _, s in g.steps:
+            keys |= hit << s
+        budget.charge(keys.bit_count() * g.words)
+        budget.packed_products += 1
+        product = 0
+        for c, s in g.steps:
+            product += c * r << s
+        return _Dense(g, g.reduce(product) & g.box)
+
+    def unpacked(self) -> _Packed:
+        g = self.grid
+        wb, size, width = g.bytes, g.size, g.f.width
+        buf = self.value.to_bytes(g.cells * wb, "little")
+        coefficients = buf[::wb] if size == 1 else (
+            int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), wb))
+        fields = [[o + j << i * width for j in range(n)]
+                  for i, (o, n) in enumerate(zip(g.corner, g.dims))]
+        keys = itertools.product(*reversed(fields))  # x_1 runs fastest, as the slots do
+        return _Packed(g.f, width, {sum(k): c for k, c in zip(keys, coefficients) if c})
 
 
 class QPoly:
@@ -273,13 +366,19 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
     largest exponent of f, since each multiply is by the full, unreduced f.
     r carries the box of its level, so the step r.multiply(f) reduces inside
     the product; frobenius_reduce runs only on f, at most once per level.
+    A level turns dense once len(r) * len(f), the dict product's work, is at
+    least the cell count of the box [o, p^e + d) measured from r's least
+    corner o at the level's start: from there r is one int on the level's
+    _Grid, multiplied by f with shifts and adds and charged as the dict
+    product would be, and it is unpacked only for the next level's twist.
 
     With stop, the last level quits once its exponent reaches stop, so its
     value is no longer nu(e_max), but it reaches stop exactly when nu(e_max)
     does.
     """
     p = f.p
-    f = _Packed(f, (p**e_max - 1 + max(a for k in f.terms for a in k)).bit_length() + 1)
+    top = [max(k[i] for k in f.terms) for i in range(f.num_vars)]
+    f = _Packed(f, (p**e_max - 1 + max(top)).bit_length() + 1)
     best = 0  # while best > 0, r holds f^best reduced at the last level
     for e in range(1, e_max + 1):
         q = p**e
@@ -287,16 +386,26 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
         if e > 1 and best == q // p - 1:  # nu(e-1) = p^(e-1) - 1, so fpt = 1
             best = limit
         elif best:  # fields of r are < p^(e-1), so times p they stay < p^e
+            if isinstance(r, _Dense):
+                r = r.unpacked()
             twist = {k * p: c for k, c in r.terms.items()}
             best, r = p * best, _Packed(r, r.width, twist, f.level_box(q))
         else:
             r = frobenius_reduce(f, e)
             best = 0 if r.is_zero() else 1
+        sparse = 0 < best < limit  # r is a dict until the level turns dense
+        if sparse:
+            corner = [min(col) for col in zip(*map(r.exponents, r.terms))]
+            dims = [q + d - o for d, o in zip(top, corner)]
+            dense_at = -(-math.prod(dims) // len(f.terms))  # len(r) * len(f) >= the cells
         while 0 < best < limit:
+            if sparse and len(r.terms) >= dense_at:
+                r, sparse = _Grid(f, q, corner, dims).pack(r), False
             try:
-                nxt = r.multiply(f, budget)
+                nxt = r.multiply(f, budget) if sparse else r.times_f(budget)
             except BudgetExceededError as ex:
                 raise BudgetExceededError(f"{ex} at p={p}, level e={e}, exponent a={best + 1}") from None
+            budget.products += 1
             if nxt.is_zero():
                 break
             r, best = nxt, best + 1

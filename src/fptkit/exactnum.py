@@ -222,11 +222,18 @@ def format_rational(q: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Inverse of format_rational; accepts 'a/b' and plain integers, each
     with an optional sign and surrounding whitespace.  Anything else (a
-    decimal, an exponent such as 1e30000000) and a zero denominator raise
-    ValueError."""
+    decimal, an exponent such as 1e30000000), a part of more than 4300
+    digits (CPython's limit for reading an int from text) and a zero
+    denominator raise ValueError."""
     text = text.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+    match = re.fullmatch(r"[+-]?([0-9]+)(?:/([0-9]+))?", text)
+    if not match:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    for part, digits in zip(("numerator", "denominator"), match.groups()):
+        if digits is not None and len(digits) > 4300:
+            raise ValueError(
+                f"{part} has {len(digits)} digits; a rational may have at most 4300 in each part"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:

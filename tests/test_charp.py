@@ -1,5 +1,6 @@
 """Frobenius-power reduction, nu, certification, brackets, reduction mod p."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -335,29 +336,41 @@ class TestMultiply:
         assert min(paths.values()) >= 20, paths
 
     def test_engine_charges_only_through_multiply(self, monkeypatch):
-        # the nu sweep multiplies and reduces in FpPoly.multiply, so whatever
-        # wraps it sees every product; frobenius_reduce reduces only f, at
-        # most once per level
-        calls = {"multiply": 0, "charged": 0, "reduce": 0}
-        multiply, reduce = FpPoly.multiply, charp.frobenius_reduce
+        # the nu sweep charges only through its products: FpPoly.multiply on
+        # a sparse level, _Dense.times_f once a level is dense, and the
+        # budget counts both; frobenius_reduce reduces only f, at most once
+        # per level
+        calls = {"multiply": 0, "times_f": 0, "charged": 0, "reduce": 0}
+        multiply, times_f, reduce = FpPoly.multiply, charp._Dense.times_f, charp.frobenius_reduce
 
-        def counted_multiply(self, other, budget=None):
-            before = budget.used
-            result = multiply(self, other, budget)
-            calls["multiply"] += 1
-            calls["charged"] += budget.used - before
-            return result
+        def counted(name, product):
+            def wrapper(self, *args):
+                budget = args[-1]
+                before = budget.used
+                result = product(self, *args)
+                calls[name] += 1
+                calls["charged"] += budget.used - before
+                return result
+            return wrapper
 
         def counted_reduce(g, e):
             calls["reduce"] += 1
             return reduce(g, e)
 
-        monkeypatch.setattr(FpPoly, "multiply", counted_multiply)
+        level_one = TermBudget()  # the level-1 sweep, counted before the wrappers
+        assert charp.nu_table(BINARY41, 1, level_one).values == (26,)
+        monkeypatch.setattr(FpPoly, "multiply", counted("multiply", multiply))
+        monkeypatch.setattr(charp._Dense, "times_f", counted("times_f", times_f))
         monkeypatch.setattr(charp, "frobenius_reduce", counted_reduce)
         budget = TermBudget()
         assert charp.nu_table(BINARY41, 2, budget).values == (26, 1106)
-        assert calls["multiply"] > 0 and calls["reduce"] <= 2
         assert calls["charged"] == budget.used == 90976
+        assert calls["reduce"] <= 2
+        assert budget.products == calls["multiply"] + calls["times_f"]
+        assert budget.packed_products == calls["times_f"]
+        # level 2 makes 41 products (nu(2) = 41 nu(1) + 40), most of them packed
+        assert budget.products - level_one.products == 41
+        assert budget.packed_products - level_one.packed_products > 20
 
 
 class TestPackedEngine:
@@ -413,6 +426,80 @@ class TestPackedEngine:
             power = oracles.poly_pow(f.terms, t, p, f.num_vars)
             assert any(all(a < q for a in k) for k in power)
             assert charp.certify_lower(f, F(t, q - 1), e_max) is True
+
+
+class TestDenseLevels:
+    # a level whose running power r fills its box runs on one packed int:
+    # the same values, charges and raises as the dict product
+
+    @staticmethod
+    def near_top(p, f, corner):
+        """f packed as the sweep packs it for level 1, and a seeded r on the
+        cells of [corner, p), so that the box [corner, p + d) is small"""
+        rng = random.Random(p)
+        top = [max(k[i] for k in f.terms) for i in range(f.num_vars)]
+        fk = charp._Packed(f, (p - 1 + max(top)).bit_length() + 1)
+        cells = itertools.product(*(range(o, p) for o in corner))
+        terms = {k: rng.randint(1, p - 1) for k in cells if rng.random() < 0.7}
+        terms[tuple(corner)] = 1
+        r = charp._Packed(FpPoly(p, f.num_vars, terms), fk.width, None, fk.level_box(p))
+        dims = [p + d - o for d, o in zip(top, corner)]
+        return fk, r, charp._Grid(fk, p, corner, dims)
+
+    @pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2**61 - 1])
+    def test_barrett_step_against_plain_mod(self, p):
+        f = FpPoly(p, 2, {(1, 0): 1, (0, 1): p - 1, (1, 1): 2 % p or 1, (2, 1): p // 2 or 1})
+        fk, r, grid = self.near_top(p, f, [max(p - 3, 0), max(p - 4, 0)])
+        w, bound = 8 * grid.bytes, len(f.terms) * (p - 1) ** 2
+        rng = random.Random(p + 1)
+        # every slot below 2^b, the edges included: 0, p - 1, p, the largest
+        # sum of len(f) products of two residues, and the largest v < 2^b
+        # with v % p = p - 1, where a shift S one bit short errs
+        top = 2 ** bound.bit_length() - 1
+        slots = [0, p - 1, p, bound, top, top - (top - p + 1) % p]
+        slots += [rng.randrange(2 ** bound.bit_length()) for _ in range(grid.cells - len(slots))]
+        x = sum(v << i * w for i, v in enumerate(slots))
+        assert grid.reduce(x) == sum(v % p << i * w for i, v in enumerate(slots))
+        # one step equals the dict product, in value and in charge
+        dense = grid.pack(r)
+        assert dense.unpacked().terms == r.terms
+        sparse_budget, dense_budget = TermBudget(), TermBudget()
+        expected = r.multiply(fk, sparse_budget)
+        assert dense.times_f(dense_budget).unpacked().terms == expected.terms
+        assert dense_budget.used == sparse_budget.used
+        # it raises iff the dict product does, after charging the full count
+        room = sparse_budget.used
+        assert dense.times_f(TermBudget(room)).unpacked().terms == expected.terms
+        for product in (lambda b: dense.times_f(b), lambda b: r.multiply(fk, b)):
+            with pytest.raises(BudgetExceededError):
+                product(TermBudget(room - 1))
+        budget = TermBudget(room - 1)
+        with pytest.raises(BudgetExceededError):
+            dense.times_f(budget)
+        assert budget.used == room
+
+    def test_nu_table_against_expansion_oracle(self):
+        rng = random.Random(97)
+        dense = 0
+        for p, e_max in [(2, 3), (3, 3), (5, 2), (7, 1), (11, 1), (13, 1)]:
+            for _ in range(60):
+                f = random_fp_poly(rng, p, rng.randint(1, 3), max_terms=8, max_exp=3)
+                e = rng.randint(1, e_max)
+                levels = range(1, e + 1)
+                expected = oracles.nu_expansion_oracle(f.terms, p, levels, f.num_vars)
+                budget = TermBudget()
+                assert charp.nu_table(f, e, budget).values == tuple(expected[k] for k in levels), f
+                dense += budget.packed_products > 0
+        assert dense >= 40
+
+    def test_binary41_packs_level_two_and_cusp13_never(self):
+        level_one, budget = TermBudget(), TermBudget()
+        charp.nu_table(BINARY41, 1, level_one)
+        charp.nu_table(BINARY41, 2, budget)
+        assert budget.packed_products > level_one.packed_products
+        cusp = TermBudget()
+        assert charp.nu_table(fp(13, "x^2+y^3"), 3, cusp).values == (10, 140, 1830)
+        assert cusp.products > 0 and cusp.packed_products == 0
 
 
 BINARY41 = fp(41, "x^3+3*x^2*y+2*x*y^2+5*y^3+x^4+2*x^3*y+7*x^2*y^2+x*y^3+4*y^4")

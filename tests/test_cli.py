@@ -228,6 +228,20 @@ class TestNuBracketCertify:
         assert code == 4 and out == ""
         assert err.startswith(f"error: {flag}: Invalid literal for Fraction: ")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("newton", "x^2, y^3", "--contains=" + "1" * 5000 + ",1"), "--contains"),
+            (("certify", "x^2+y^3", "-p", "7", "--lambda", "1/" + "1" * 5000, "-e", "1"), "--lambda"),
+        ],
+    )
+    def test_rational_past_4300_digits_exit_4(self, capsys, argv, flag):
+        # refused in fptkit's words, not with CPython's hint to raise its limit
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.startswith(f"error: {flag}: ") and "at most 4300" in err
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("text", ["x^²+y", "x²+y"])
     def test_superscript_digit_exit_2(self, capsys, text):
         code, out, err = run(capsys, "nu", text, "-p", "5", "-e", "1")

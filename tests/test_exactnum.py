@@ -252,6 +252,17 @@ class TestRationalText:
     def test_signed_integers_and_quotients(self, text, value):
         assert exactnum.parse_rational(text) == value
 
+    def test_parts_past_4300_digits_are_refused(self):
+        # Fraction would raise CPython's own int-from-text limit error
+        assert exactnum.parse_rational("1" * 4300 + "/" + "1" * 4300) == 1
+        assert exactnum.parse_rational("-" + "0" * 4299 + "7") == -7
+        for text, part in [("1" * 4301, "numerator"), ("1/" + "2" * 5000, "denominator"),
+                           ("-" + "0" * 4301 + "/3", "numerator")]:
+            with pytest.raises(ValueError) as info:
+                exactnum.parse_rational(text)
+            assert str(info.value).startswith(f"{part} has ")
+            assert "at most 4300" in str(info.value)
+
     @pytest.mark.parametrize(
         "text", ["1e30000000", "1e-30000000", "0.5", "1_000", "1/-2", "1 / 2", "", "٣"]
     )
