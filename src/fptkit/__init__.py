@@ -4,7 +4,6 @@ canonical thresholds of monomial ideals, with certificates."""
 from .charp import (
     Certificate,
     FpPoly,
-    NuTable,
     QPoly,
     TermBudget,
     ThresholdReport,
@@ -25,9 +24,8 @@ from .exactnum import (
 )
 from .parsing import parse_monomials, parse_polynomial
 from .polygeo import (
-    MaximalPointResult,
+    Geometry,
     MonomialSet,
-    NewtonAnalysis,
     maximal_points,
     newton_analysis,
     newton_contains,

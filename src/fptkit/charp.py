@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -60,10 +60,6 @@ class FpPoly:
                 raise ValueError(f"bad exponent vector {k} for {num_vars} variables")
             clean[k] = c
         self.terms = clean
-
-    @classmethod
-    def one(cls, p: int, num_vars: int) -> "FpPoly":
-        return cls(p, num_vars, {(0,) * num_vars: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -334,19 +330,6 @@ def nu(f: FpPoly, e: int, budget: TermBudget | None = None) -> int:
     return tuple(_nu_levels(f, e, budget))[-1]
 
 
-@dataclass(frozen=True)
-class NuTable:
-    p: int
-    e_max: int
-    values: tuple[int, ...]
-
-    def check_monotone(self) -> bool:
-        return all(
-            self.p * self.values[i] <= self.values[i + 1]
-            for i in range(len(self.values) - 1)
-        )
-
-
 def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = None):
     """Yield nu(e) for e = 1..e_max, sharing work across levels.
 
@@ -412,15 +395,14 @@ def _nu_levels(f: FpPoly, e_max: int, budget: TermBudget, stop: int | None = Non
         yield best
 
 
-def nu_table(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> NuTable:
-    """nu at every level 1..e_max in one sweep (see _nu_levels)."""
+def nu_table(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> tuple[int, ...]:
+    """(nu(1), ..., nu(e_max)) in one sweep (see _nu_levels)."""
     _check_nu_input(f)
     if e_max < 1:
         raise ValueError(f"e_max must be >= 1, got {e_max}")
     if budget is None:
         budget = TermBudget()
-    values = tuple(_nu_levels(f, e_max, budget))
-    return NuTable(p=f.p, e_max=e_max, values=values)
+    return tuple(_nu_levels(f, e_max, budget))
 
 
 def certify_lower(
@@ -485,7 +467,7 @@ class Certificate:
     verified: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdReport:
     """Certified threshold output.
 
@@ -493,15 +475,16 @@ class ThresholdReport:
     bound; BRACKET carries only the interval pinned by the nu table.  The
     bracket, when present, always contains the true threshold: it lies in
     (low, high] with low = max nu(e)/p^e and high = min (nu(e)+1)/p^e.
+    nu_values is (nu(1), ..., nu(e)) over the levels that completed.
     """
 
     kind: str  # EXACT | LOWER_BOUND | BRACKET
     value: Fraction | None = None
     bracket: tuple[Fraction, Fraction] | None = None
-    nu_values: NuTable | None = None
-    certificates: list[Certificate] = field(default_factory=list)
+    nu_values: tuple[int, ...] = ()
+    certificates: tuple[Certificate, ...] = ()
     budget_exhausted: bool = False
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
 
 EXACT = "EXACT"
@@ -532,7 +515,7 @@ def bracket(f: FpPoly, e_max: int, budget: TermBudget | None = None) -> Threshol
         return ThresholdReport(
             kind=BRACKET,
             budget_exhausted=True,
-            notes=["term budget exhausted before any nu level completed"],
+            notes=("term budget exhausted before any nu level completed",),
         )
     return _bracket_report(p, values, exhausted)
 
@@ -542,14 +525,11 @@ def _bracket_report(p: int, values: Sequence[int], exhausted: bool = False) -> T
     the threshold lies in (max nu(e)/p^e, min (nu(e)+1)/p^e]."""
     low = max(Fraction(v, p**e) for e, v in enumerate(values, start=1))
     high = min(Fraction(v + 1, p**e) for e, v in enumerate(values, start=1))
-    report = ThresholdReport(
+    return ThresholdReport(
         kind=BRACKET,
         bracket=(low, high),
-        nu_values=NuTable(p=p, e_max=len(values), values=tuple(values)),
+        nu_values=tuple(values),
         budget_exhausted=exhausted,
+        notes=(f"term budget exhausted; bracket uses levels 1..{len(values)} only",)
+        if exhausted else (),
     )
-    if exhausted:
-        report.notes.append(
-            f"term budget exhausted; bracket uses levels 1..{len(values)} only"
-        )
-    return report

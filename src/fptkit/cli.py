@@ -48,7 +48,7 @@ def _print_minimal_face(ms: polygeo.MonomialSet) -> None:
         for i in analysis.lambda_members
     )
     print(f"diagonal position: {'yes' if analysis.diagonal_position else 'no'}")
-    print(f"minimal face members ({analysis.r}): {members}")
+    print(f"minimal face members ({len(analysis.lambda_members)}): {members}")
 
 
 def cmd_alpha(args) -> int:
@@ -83,18 +83,19 @@ def cmd_newton(args) -> int:
     return EXIT_OK
 
 
-def _reduced_input(args) -> charp.FpPoly:
+def _level_input(args) -> tuple[charp.FpPoly, TermBudget]:
+    """The reduced polynomial and a fresh budget of a command at level -e;
+    a level whose values could not be printed is refused first."""
     f = parsing.parse_polynomial(args.polynomial, num_vars=args.vars or None)
-    return charp.reduce_mod_p(f, args.prime, preserve_support=not args.drop_support)
+    fp = charp.reduce_mod_p(f, args.prime, preserve_support=not args.drop_support)
+    exactnum.check_printable_level(args.prime, args.e, "-e")
+    return fp, TermBudget(args.budget)
 
 
 def cmd_nu(args) -> int:
-    fp = _reduced_input(args)
-    exactnum.check_printable_level(args.prime, args.e, "-e")
-    budget = TermBudget(args.budget)
+    fp, budget = _level_input(args)
     if args.table:
-        table = charp.nu_table(fp, args.e, budget)
-        for e, v in enumerate(table.values, start=1):
+        for e, v in enumerate(charp.nu_table(fp, args.e, budget), start=1):
             print(f"nu({e}) = {v}")
     else:
         print(charp.nu(fp, args.e, budget))
@@ -102,12 +103,10 @@ def cmd_nu(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    fp = _reduced_input(args)
-    exactnum.check_printable_level(args.prime, args.e, "-e")
-    report = charp.bracket(fp, args.e, TermBudget(args.budget))
-    if report.nu_values is not None:
-        for e, v in enumerate(report.nu_values.values, start=1):
-            print(f"nu({e}) = {v}")
+    fp, budget = _level_input(args)
+    report = charp.bracket(fp, args.e, budget)
+    for e, v in enumerate(report.nu_values, start=1):
+        print(f"nu({e}) = {v}")
     if report.bracket is not None:
         lo, hi = report.bracket
         print(f"bracket: ({_fmt(lo)}, {_fmt(hi)}]")
@@ -119,12 +118,12 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    fp = _reduced_input(args)
+    fp, budget = _level_input(args)
     try:
         lam = exactnum.parse_rational(args.lam)
     except ValueError as ex:
         raise ValueError(f"--lambda: {ex}") from None
-    ok = charp.certify_lower(fp, lam, args.e, TermBudget(args.budget))
+    ok = charp.certify_lower(fp, lam, args.e, budget)
     if ok:
         print(f"PROVED fpt >= {_fmt(lam)}")
     else:
@@ -248,19 +247,19 @@ def cmd_scan(args) -> int:
         jobs=jobs,
     )
     csv_text = thresholds.scan_csv_text(rows)
-    config_echo = {
-        "primes": sorted(set(primes)),
-        "e_max": e_max,
-        "budget": budget,
-        "preserve_support": preserve,
-        "jobs": jobs,
-    }
-    doc = thresholds.scan_json_document(args.polynomial, config_echo, rows)
     try:
         if csv_path:
             with open(csv_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(csv_text)
         if json_path:
+            config_echo = {
+                "primes": sorted(set(primes)),
+                "e_max": e_max,
+                "budget": budget,
+                "preserve_support": preserve,
+                "jobs": jobs,
+            }
+            doc = thresholds.scan_json_document(args.polynomial, config_echo, rows)
             with open(json_path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")

@@ -72,7 +72,7 @@ class MonomialSet:
         )
 
     @functools.cached_property
-    def geometry(self) -> tuple[MaximalPointResult, NewtonAnalysis]:
+    def geometry(self) -> Geometry:
         """Maximal points and minimal face, read off the optimal face
         F = {s in P : |s| = alpha} of one splitting LP solve kept here.  With
         h_i = max s_i over F, every s in F has s <= h and |s| = alpha, so F is
@@ -104,24 +104,19 @@ class MonomialSet:
             raise AssertionError(
                 "internal inconsistency: empty minimal face cannot be bounded"
             )
-        return (
-            MaximalPointResult(alpha, unique, tuple(highest) if unique else None),
-            NewtonAnalysis(alpha, members, len(members), diagonal),
-        )
+        return Geometry(alpha, unique, tuple(highest) if unique else None, members, diagonal)
 
 
 @dataclass(frozen=True)
-class MaximalPointResult:
+class Geometry:
+    """What one splitting LP solve says about a monomial set: the threshold
+    alpha, the maximal point when it is unique, the minimal face of N at
+    (1/alpha)*(1,...,1) and whether that face is bounded."""
+
     threshold: Fraction
     unique: bool
-    point: tuple[Fraction, ...] | None
-
-
-@dataclass(frozen=True)
-class NewtonAnalysis:
-    threshold: Fraction
+    point: tuple[Fraction, ...] | None  # the maximal point, when unique
     lambda_members: tuple[int, ...]  # indices into ms.monomials
-    r: int
     diagonal_position: bool
 
 
@@ -137,7 +132,7 @@ def splitting_polytope(ms: MonomialSet) -> LinearProgram:
 
 def splitting_threshold(ms: MonomialSet) -> Fraction:
     """Maximal coordinate sum over the splitting polytope (simplex route)."""
-    return ms.geometry[0].threshold
+    return ms.geometry.threshold
 
 
 def lattice_points(
@@ -199,9 +194,9 @@ def lattice_points(
     yield from rec(0, list(bound), total, ())
 
 
-def maximal_points(ms: MonomialSet) -> MaximalPointResult:
+def maximal_points(ms: MonomialSet) -> Geometry:
     """Threshold plus uniqueness of the coordinate-sum maximizer over P."""
-    return ms.geometry[0]
+    return ms.geometry
 
 
 def newton_contains(ms: MonomialSet, v: Sequence[Fraction]) -> bool:
@@ -270,7 +265,7 @@ def newton_threshold(ms: MonomialSet) -> Fraction:
     return Fraction(best, best_d)
 
 
-def newton_analysis(ms: MonomialSet) -> NewtonAnalysis:
+def newton_analysis(ms: MonomialSet) -> Geometry:
     """Minimal face of N at v = (1/alpha)*(1,...,1) and whether it is bounded
     (diagonal position); see MonomialSet.geometry."""
-    return ms.geometry[1]
+    return ms.geometry

@@ -15,7 +15,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -269,7 +269,7 @@ BRACKET_ONLY = "BRACKET_ONLY"
 REDUCTION_ERROR = "REDUCTION_ERROR"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanRow:
     """One prime's worth of scan output."""
 
@@ -350,7 +350,7 @@ def _scan_one_prime(
         report = charp._bracket_report(p, [p**e - 1 for e in range(1, e_max + 1)])
     else:
         report = charp.bracket(fp, e_max, budget)
-    nu = report.nu_values.values if report.nu_values is not None else ()
+    nu = report.nu_values
 
     # Above alpha = 1 the threshold is 1 exactly when nu(1) = p - 1 (Fedder).
     # lower == 1 implies alpha > 1: a carry at L + 1 puts sum trunc_L + p^-L below alpha.
@@ -364,6 +364,7 @@ def _scan_one_prime(
 
     # Confirm the certificate off the nu table, or replay it past the table.
     # exact is proved, so a refuted certificate is an internal error.
+    exhausted, certificates = report.budget_exhausted, report.certificates
     if level is not None:
         try:
             if level <= len(nu):
@@ -371,24 +372,24 @@ def _scan_one_prime(
             else:
                 ok = charp.certify_lower(fp, exact, level, budget)
         except BudgetExceededError:
-            report.budget_exhausted = True
+            exhausted = True
             notes.append(f"budget exhausted while replaying the level-{level} certificate")
         else:
             if not ok:
                 raise AssertionError(f"level-{level} certificate refutes {exact}")
-            report.certificates.append(Certificate(e=level, lam=exact, verified=True))
+            certificates += (Certificate(e=level, lam=exact, verified=True),)
 
-    report.notes = notes + report.notes
+    notes.extend(report.notes)
+    kind, value, claim = report.kind, report.value, BRACKET_ONLY
     if exact is not None:
-        report.kind, report.value = EXACT, exact
-        claim = CERTIFIED_EXACT if report.certificates else LOWER_BOUND_ONLY
+        kind, value = EXACT, exact
+        claim = CERTIFIED_EXACT if certificates else LOWER_BOUND_ONLY
     elif lower is not None:
-        report.kind, report.value = LOWER_BOUND, lower
-        claim = LOWER_BOUND_ONLY
+        kind, value, claim = LOWER_BOUND, lower, LOWER_BOUND_ONLY
         if report.bracket is not None and lower == report.bracket[1]:
-            report.notes.append("lower bound meets the bracket upper end: value is exact")
-    else:
-        claim = BRACKET_ONLY
+            notes.append("lower bound meets the bracket upper end: value is exact")
+    report = replace(report, kind=kind, value=value, certificates=certificates,
+                     budget_exhausted=exhausted, notes=tuple(notes))
     # a lower bound left here is below alpha and not 1, so it never witnesses
     witness = full_support and exact == min(ONE, alpha)
     return ScanRow(prime=p, claim=claim, report=report, witness=witness)
@@ -511,8 +512,8 @@ def scan_json_document(source: str, config: dict, rows: Sequence[ScanRow]) -> di
             if rep.bracket is not None:
                 entry["bracket_low"] = exactnum.format_rational(rep.bracket[0])
                 entry["bracket_high"] = exactnum.format_rational(rep.bracket[1])
-            if rep.nu_values is not None:
-                entry["nu"] = list(rep.nu_values.values)
+            if rep.nu_values:
+                entry["nu"] = list(rep.nu_values)
             entry["witness"] = row.witness
             if rep.budget_exhausted:
                 entry["budget_exhausted"] = True

@@ -44,7 +44,7 @@ class TestFrobeniusReduce:
         assert charp.frobenius_reduce(FpPoly(7, 1, {(7,): 1}), 1).is_zero()
 
     def test_sixth_power_of_cusp_dies_mod_seven(self):
-        power = FpPoly.one(7, 2)
+        power = FpPoly(7, 2, {(0, 0): 1})
         for _ in range(6):
             power = power * CUSP7
         assert charp.frobenius_reduce(power, 1).is_zero()
@@ -83,8 +83,9 @@ class TestNu:
             p = rng.choice([2, 3, 5])
             f = random_fp_poly(rng, p)
             table = charp.nu_table(f, 3)
-            assert table.check_monotone()
-            assert all(0 <= v <= p**e - 1 for e, v in enumerate(table.values, 1))
+            # p*nu(e) <= nu(e+1) <= p*nu(e) + p - 1
+            assert all(0 <= b - p * a <= p - 1 for a, b in zip(table, table[1:]))
+            assert all(0 <= v <= p**e - 1 for e, v in enumerate(table, 1))
 
     def test_table_matches_plain_nu(self):
         rng = random.Random(23)
@@ -93,7 +94,7 @@ class TestNu:
             f = random_fp_poly(rng, p)
             table = charp.nu_table(f, 2)
             expected = oracles.nu_expansion_oracle(f.terms, p, [1, 2], 2)
-            assert table.values == (expected[1], expected[2])
+            assert table == (expected[1], expected[2])
 
     def test_against_expansion_oracle_sample(self):
         rng = random.Random(37)
@@ -358,12 +359,12 @@ class TestMultiply:
             return reduce(g, e)
 
         level_one = TermBudget()  # the level-1 sweep, counted before the wrappers
-        assert charp.nu_table(BINARY41, 1, level_one).values == (26,)
+        assert charp.nu_table(BINARY41, 1, level_one) == (26,)
         monkeypatch.setattr(FpPoly, "multiply", counted("multiply", multiply))
         monkeypatch.setattr(charp._Dense, "times_f", counted("times_f", times_f))
         monkeypatch.setattr(charp, "frobenius_reduce", counted_reduce)
         budget = TermBudget()
-        assert charp.nu_table(BINARY41, 2, budget).values == (26, 1106)
+        assert charp.nu_table(BINARY41, 2, budget) == (26, 1106)
         assert calls["charged"] == budget.used == 90976
         assert calls["reduce"] <= 2
         assert budget.products == calls["multiply"] + calls["times_f"]
@@ -390,7 +391,7 @@ class TestPackedEngine:
                 levels = range(1, e_max + 1)
                 expected = oracles.nu_expansion_oracle(f.terms, p, levels, f.num_vars)
                 table = charp.nu_table(f, e_max)
-                assert table.values == tuple(expected[e] for e in levels), f
+                assert table == tuple(expected[e] for e in levels), f
         assert past_p >= 10
 
     def test_certify_lower_against_expansion_oracle(self):
@@ -419,7 +420,7 @@ class TestPackedEngine:
         assert tuple(expected[e] for e in levels) == tuple(p**e - 1 for e in levels)
         level_one, budget = TermBudget(), TermBudget()
         charp.nu(f, 1, level_one)
-        assert charp.nu_table(f, e_max, budget).values == tuple(p**e - 1 for e in levels)
+        assert charp.nu_table(f, e_max, budget) == tuple(p**e - 1 for e in levels)
         assert budget.used == level_one.used
         q = p**e_max
         for t in (1, p, q - p - 1, q - p, q - 1):
@@ -488,7 +489,7 @@ class TestDenseLevels:
                 levels = range(1, e + 1)
                 expected = oracles.nu_expansion_oracle(f.terms, p, levels, f.num_vars)
                 budget = TermBudget()
-                assert charp.nu_table(f, e, budget).values == tuple(expected[k] for k in levels), f
+                assert charp.nu_table(f, e, budget) == tuple(expected[k] for k in levels), f
                 dense += budget.packed_products > 0
         assert dense >= 40
 
@@ -498,7 +499,7 @@ class TestDenseLevels:
         charp.nu_table(BINARY41, 2, budget)
         assert budget.packed_products > level_one.packed_products
         cusp = TermBudget()
-        assert charp.nu_table(fp(13, "x^2+y^3"), 3, cusp).values == (10, 140, 1830)
+        assert charp.nu_table(fp(13, "x^2+y^3"), 3, cusp) == (10, 140, 1830)
         assert cusp.products > 0 and cusp.packed_products == 0
 
 
@@ -512,14 +513,14 @@ class TestEngineCharges:
     # nu(1) = p - 1 level
     def test_binary_form(self):
         budget = TermBudget()
-        assert charp.nu_table(BINARY41, 2, budget).values == (26, 1106)
+        assert charp.nu_table(BINARY41, 2, budget) == (26, 1106)
         assert budget.used == 90976
 
     def test_binary_form_budget_runs_out_at_level_three(self):
         budget = TermBudget(120_000)
         report = charp.bracket(BINARY41, 3, budget)
         assert report.budget_exhausted
-        assert report.nu_values.values == (26, 1106)
+        assert report.nu_values == (26, 1106)
         # the product that raises stops one row past the limit, so the
         # overshoot depends on the order of r's keys
         assert budget.used == 120_001
@@ -527,13 +528,13 @@ class TestEngineCharges:
     def test_cusp13_budget_60(self):
         budget = TermBudget(60)
         report = charp.bracket(fp(13, "x^2+y^3"), 3, budget)
-        assert report.nu_values.values == (10,)
+        assert report.nu_values == (10,)
         assert budget.used == 61
 
     @pytest.mark.parametrize("limit", [5, 60, 100, 135])
     def test_exhaustion_names_prime_level_and_exponent(self, limit):
         f = fp(13, "x^2+y^3")
-        nu = charp.nu_table(f, 3).values
+        nu = charp.nu_table(f, 3)
         with pytest.raises(BudgetExceededError) as info:
             charp.nu_table(f, 3, TermBudget(limit))
         match = re.fullmatch(
@@ -551,7 +552,7 @@ class TestEngineCharges:
     def test_threshold_one_quadric(self, e_max):
         # expanding level 2 as well would charge 161836 terms in all
         budget = TermBudget()
-        assert charp.nu_table(QUADRIC7, e_max, budget).values == (6, 48)[:e_max]
+        assert charp.nu_table(QUADRIC7, e_max, budget) == (6, 48)[:e_max]
         assert budget.used == 824
 
 
@@ -587,7 +588,7 @@ class TestBracket:
         low, high = report.bracket
         assert low < F(4, 5) <= high
         assert high - low == F(1, 125)
-        assert report.nu_values.values == (3, 19, 99)
+        assert report.nu_values == (3, 19, 99)
 
     def test_single_variable_mod_three(self):
         f = FpPoly(3, 1, {(1,): 1})
@@ -605,7 +606,7 @@ class TestBracket:
         report = charp.bracket(f, 3, TermBudget(60))
         assert report.budget_exhausted
         assert report.nu_values is not None
-        assert len(report.nu_values.values) < 3
+        assert len(report.nu_values) < 3
         assert report.notes
 
     def test_nu_respects_budget(self):

@@ -288,6 +288,23 @@ class TestNuBracketCertify:
         assert f"error: {named}: p^e passes 10^4300" in err
         assert time.perf_counter() - start < 3
 
+    @pytest.mark.parametrize("lam, level", [("1/5", "14286"), ("1/2", "1000000")])
+    def test_certify_unprintable_level_exit_4_before_work(self, capsys, lam, level):
+        # 1/5 would reach CPython's int-to-str limit in the integrality error;
+        # 1/2 would expand level after level until the budget ran out
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "x^2+y^3", "-p", "7", "--lambda", lam, "-e", level)
+        assert code == 4 and out == ""
+        assert f"error: -e {level} at p=7: p^e passes 10^4300" in err
+        assert "set_int_max_str_digits" not in err
+        assert time.perf_counter() - start < 1
+
+    def test_certify_below_the_printable_limit_still_runs(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", "x^2+y^3", "-p", "7", "--lambda", "1/2", "-e", "5000")
+        assert code == 5 and out == "" and err.startswith("budget exhausted: ")
+        assert time.perf_counter() - start < 10
+
     def test_last_printable_level_prints(self, capsys):
         # 2^14284 has 4300 digits, the most that still print
         code, out, _ = run(capsys, "nu", "x", "-p", "2", "-e", "14284")

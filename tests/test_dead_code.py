@@ -1,5 +1,5 @@
-"""Every public function and class of the package is referred to inside the
-package."""
+"""Every public function, class and method of the package is referred to
+inside the package."""
 
 import ast
 import pathlib
@@ -51,6 +51,37 @@ def unreferenced_public(package_dir, kind):
     ]
 
 
+def unreferenced_methods(package_dir):
+    """Class.name of the public methods and properties of the package's
+    classes that no code in the package refers to, as an attribute (x.name)
+    or a bare name (__mul__ = multiply), outside the method's own body.
+    Dunders start with an underscore, so they are never flagged."""
+    paths = sorted(pathlib.Path(package_dir).glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths if path.name != "__init__.py"]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    counts = {}
+    for tree in trees:
+        for name in names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and counts.get(node.name, 0) == sum(name == node.name for name in names(node))
+    ]
+
+
 def test_every_public_function_has_a_caller():
     # the exceptions are exactly the uncalled ones, and each is exported
     assert sorted(unreferenced_public(PACKAGE_DIR, ast.FunctionDef)) == sorted(LIBRARY_ONLY)
@@ -87,3 +118,24 @@ def test_an_unreferenced_class_is_flagged(tmp_path):
     # Ball appears in an annotation; Box only inside its own body
     assert unreferenced_public(tmp_path, ast.ClassDef) == ["Box"]
     assert unreferenced_public(tmp_path, ast.FunctionDef) == ["make"]
+
+
+def test_every_public_method_has_a_reference():
+    assert unreferenced_methods(PACKAGE_DIR) == []
+
+
+def test_an_unreferenced_method_is_flagged(tmp_path):
+    (tmp_path / "shapes.py").write_text(
+        "class Box:\n"
+        "    def grow(self):\n        return self.grow()\n\n"
+        "    def size(self):\n        return 1\n\n"
+        "    def scale(self, k):\n        return k\n\n"
+        "    __mul__ = scale\n\n"
+        "    @property\n    def volume(self):\n        return 1\n\n"
+        "    @property\n    def area(self):\n        return 1\n\n"
+        "    def _hidden(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "def make(box):\n    return box.size() + box.volume\n"
+    )
+    # grow refers only to itself; scale is named by __mul__ = scale
+    assert unreferenced_methods(tmp_path) == ["Box.grow", "Box.area"]

@@ -336,7 +336,7 @@ class TestNewtonAnalysis:
         out = polygeo.newton_analysis(ms((2, 0), (0, 3), (2, 3)))
         assert out.threshold == F(5, 6)
         assert out.lambda_members == (0, 1)
-        assert out.r == 2
+        assert len(out.lambda_members) == 2
         assert out.diagonal_position
 
     def test_single_monomial_in_two_vars(self):
@@ -365,7 +365,7 @@ class TestNewtonAnalysis:
                 out.diagonal_position,
             ) == oracles.newton_face_oracle(s.monomials, s.num_vars)
             non_diagonal += not out.diagonal_position
-            off_face += out.r < s.num_monomials
+            off_face += len(out.lambda_members) < s.num_monomials
         assert non_diagonal > 0 and off_face > 0
 
     def test_geometry_solved_once_per_support(self, monkeypatch):

@@ -363,7 +363,7 @@ class TestScan:
         (row,) = dense_fpurity_scan(f, [p], e_max=3)
         # bracket pins 1/p, strictly below the monomial threshold 2/p
         assert row.bracket[1] == F(1, p)
-        assert row.report.nu_values.values == tuple(
+        assert row.report.nu_values == tuple(
             p ** (e - 1) - 1 for e in (1, 2, 3)
         )
         assert not row.witness
@@ -453,7 +453,7 @@ class TestScan:
                 expected = oracles.nu_expansion_oracle(
                     charp.reduce_mod_p(f, p).terms, p, range(1, e_max + 1), 2
                 )
-                assert row.report.nu_values.values == tuple(
+                assert row.report.nu_values == tuple(
                     expected[e] for e in range(1, e_max + 1)
                 ), (f, p)
         assert kinds == {CERTIFIED_EXACT, BRACKET_ONLY}
@@ -501,7 +501,7 @@ class TestScan:
         # is the order of 2 mod 3, namely e = 2; with e_max = 1 that level
         # lies past the nu table and is replayed on the row's budget
         (row,) = dense_fpurity_scan(parse_polynomial("x^3"), [2], e_max=e_max)
-        assert len(row.report.nu_values.values) == e_max
+        assert len(row.report.nu_values) == e_max
         assert row.claim == CERTIFIED_EXACT
         assert row.value == F(1, 3)
         (cert,) = row.report.certificates
@@ -528,14 +528,14 @@ class TestScan:
         assert [(row.claim, row.report.kind) for row in rows] == [
             (LOWER_BOUND_ONLY, EXACT)
         ] * 2
-        assert rows[0].report.notes == [
+        assert rows[0].report.notes == (
             "exact by carry-free digits; no splitting certificate at levels "
-            "e <= 8 (the order of p = 5 modulo 23 exceeds 8)"
-        ]
-        assert rows[1].report.notes == [
+            "e <= 8 (the order of p = 5 modulo 23 exceeds 8)",
+        )
+        assert rows[1].report.notes == (
             "exact by carry-free digits; no finite splitting certificate "
-            "(p = 23 divides a denominator of the maximal point)"
-        ]
+            "(p = 23 divides a denominator of the maximal point)",
+        )
 
     def test_dropped_support_skips_geometric_claims(self):
         # 7x + y loses a monomial mod 7; the remaining model is handled by
@@ -569,12 +569,12 @@ class TestScan:
         # level-4 replay past it runs out of a 1-term budget
         f = parse_polynomial("x^5")
         (row,) = dense_fpurity_scan(f, [2], e_max=1, budget_limit=1)
-        assert row.report.nu_values.values == (0,)
+        assert row.report.nu_values == (0,)
         assert (row.report.kind, row.claim) == (EXACT, LOWER_BOUND_ONLY)
         assert row.report.budget_exhausted and not row.report.certificates
-        assert row.report.notes == [
-            "budget exhausted while replaying the level-4 certificate"
-        ]
+        assert row.report.notes == (
+            "budget exhausted while replaying the level-4 certificate",
+        )
 
     def test_threshold_below_one_read_off_nu1(self):
         # 3x + y^2 keeps only y^2 mod 3: alpha({x, y^2}) = 3/2 > 1, but
